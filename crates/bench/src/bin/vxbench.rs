@@ -9,12 +9,9 @@
 //! perf trajectory is tracked PR over PR.
 //!
 //! A second, *multi-core* tier (`sgemm-mc16`, `bfs-mc16`, `raster-mc16`)
-//! runs on a 16-core GPU at both `sim_threads = 1` and `= 4`: it gates
-//! the parallel tick path with the same cps floor, asserts `GpuStats` are
-//! bit-identical across thread counts on every invocation, and records
-//! the measured threads=4 speedup in the baseline (meaningful only when
-//! the recording host actually has spare CPUs). `raster-mc16` drives the
-//! full 3D pipeline (geometry → binning → SIMT raster kernel with HW
+//! runs on a 16-core GPU under the same cps floor, so the commit phase,
+//! global barriers and DRAM contention of a wide machine are gated too.
+//! `raster-mc16` drives the full 3D pipeline (geometry → binning → SIMT raster kernel with HW
 //! texture sampling), so the graphics path is throughput-gated alongside
 //! the compute kernels.
 //!
@@ -47,9 +44,6 @@ const RUNS: usize = 3;
 /// Cores in the multi-core tier configuration.
 const MC_CORES: usize = 16;
 
-/// Pool threads the multi-core tier's parallel leg runs with.
-const MC_THREADS: usize = 4;
-
 struct Measurement {
     name: &'static str,
     cycles: u64,
@@ -61,10 +55,6 @@ struct Measurement {
     skip_events: u64,
     wall_ms: f64,
     cps: f64,
-    /// Multi-core tier only: wall-clock of the `sim_threads = 4` leg and
-    /// its speedup over the `sim_threads = 1` leg.
-    wall_ms_t4: Option<f64>,
-    speedup_t4: Option<f64>,
 }
 
 fn workloads(quick: bool) -> Vec<(&'static str, Box<dyn Benchmark>)> {
@@ -92,7 +82,7 @@ fn workloads(quick: bool) -> Vec<(&'static str, Box<dyn Benchmark>)> {
 }
 
 /// The multi-core tier: the paper's scaling workloads on a 16-core GPU
-/// (Figure 18's axis), exercising the parallel tick path. Grid-stride
+/// (Figure 18's axis). Grid-stride
 /// kernels redistribute the same problem over 256 hardware threads, so
 /// sizes match the single-core tier.
 fn mc_workloads(quick: bool) -> Vec<(&'static str, Box<dyn Benchmark>)> {
@@ -135,8 +125,6 @@ fn measure_on(
             skip_events: r.stats.skip_events,
             wall_ms: wall_s * 1e3,
             cps: r.stats.cycles as f64 / wall_s,
-            wall_ms_t4: None,
-            speedup_t4: None,
         };
         if let Some(b) = &best {
             assert_eq!(
@@ -188,38 +176,9 @@ fn measure(name: &'static str, bench: &dyn Benchmark) -> Measurement {
     best
 }
 
-/// Multi-core tier: the kernel on a [`MC_CORES`]-core GPU, timed at
-/// `sim_threads = 1` and `= [MC_THREADS]`. Every invocation asserts the
-/// two legs produce bit-identical `GpuStats` (the parallel-tick
-/// determinism gate); the reported cps is the best leg, so the >30% floor
-/// covers the parallel path without flapping on hosts where 4 threads on
-/// too few CPUs run no faster than 1.
+/// Multi-core tier: the kernel on a [`MC_CORES`]-core GPU.
 fn measure_mc(name: &'static str, bench: &dyn Benchmark) -> Measurement {
-    let mut seq = GpuConfig::with_cores(MC_CORES);
-    seq.sim_threads = 1;
-    let mut par = GpuConfig::with_cores(MC_CORES);
-    par.sim_threads = MC_THREADS;
-    let (m1, stats1) = measure_on(name, bench, &seq);
-    let (m4, stats4) = measure_on(name, bench, &par);
-    assert_eq!(
-        stats1, stats4,
-        "{name}: GpuStats must be bit-identical across sim_threads 1 vs {MC_THREADS}"
-    );
-    let best = if m4.cps > m1.cps { m4.wall_ms } else { m1.wall_ms };
-    Measurement {
-        wall_ms: best,
-        cps: m1.cps.max(m4.cps),
-        wall_ms_t4: Some(m4.wall_ms),
-        speedup_t4: Some(m1.wall_ms / m4.wall_ms),
-        ..m1
-    }
-}
-
-/// Logical CPUs the host exposes. The multi-core tier's `speedup_t4` only
-/// means anything when threads have real CPUs to land on; a 1-CPU host
-/// time-slices the 4-thread leg and legitimately measures speedup < 1.
-fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(0, |n| n.get())
+    measure_on(name, bench, &GpuConfig::with_cores(MC_CORES)).0
 }
 
 fn to_json(mode: &str, results: &[Measurement]) -> String {
@@ -231,23 +190,13 @@ fn to_json(mode: &str, results: &[Measurement]) -> String {
     out.push_str("  \"bench\": \"vxbench\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str("  \"metric\": \"simulated-cycles-per-second\",\n");
-    // Interpretation key for the multi-core tier's speedup_t4: threads
-    // beyond the host's CPU count cannot speed anything up, so a baseline
-    // recorded on a 1-CPU host legitimately shows speedup below 1.
-    out.push_str(&format!("  \"host_cpus\": {},\n", host_cpus()));
     out.push_str("  \"workloads\": [\n");
     for (i, m) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
-        let mc = match (m.wall_ms_t4, m.speedup_t4) {
-            (Some(w), Some(s)) => {
-                format!(", \"wall_ms_t4\": {w:.3}, \"speedup_t4\": {s:.2}")
-            }
-            _ => String::new(),
-        };
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"cycles\": {}, \"instrs\": {}, \
              \"cycles_skipped\": {}, \"skip_events\": {}, \
-             \"wall_ms\": {:.3}, \"cps\": {:.0}{mc}}}{comma}\n",
+             \"wall_ms\": {:.3}, \"cps\": {:.0}}}{comma}\n",
             m.name, m.cycles, m.instrs, m.cycles_skipped, m.skip_events, m.wall_ms, m.cps
         ));
     }
@@ -279,8 +228,6 @@ fn json_field(line: &str, key: &str) -> Option<String> {
 struct BaselineEntry {
     name: String,
     cps: f64,
-    /// Absent for single-core workloads and in pre-PR10 baselines.
-    speedup_t4: Option<f64>,
 }
 
 /// Extracts the per-workload entries from a baseline produced by
@@ -292,20 +239,9 @@ fn parse_baseline(json: &str) -> Vec<BaselineEntry> {
             Some(BaselineEntry {
                 name: json_field(l, "name")?,
                 cps: json_field(l, "cps")?.parse().ok()?,
-                speedup_t4: json_field(l, "speedup_t4").and_then(|s| s.parse().ok()),
             })
         })
         .collect()
-}
-
-/// Extracts the `"host_cpus"` a baseline was recorded on (0 / absent in
-/// baselines that predate the field).
-fn parse_baseline_host_cpus(json: &str) -> usize {
-    json.lines()
-        .find(|l| l.trim_start().starts_with("\"host_cpus\""))
-        .and_then(|l| json_field(l, "host_cpus"))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 fn main() {
@@ -374,7 +310,7 @@ fn main() {
         if !selected(name) {
             continue;
         }
-        eprintln!("  running {name} ({MC_CORES} cores, sim_threads 1 and {MC_THREADS}) ...");
+        eprintln!("  running {name} ({MC_CORES} cores) ...");
         results.push(measure_mc(name, bench.as_ref()));
     }
     if results.is_empty() {
@@ -389,7 +325,6 @@ fn main() {
         "skipped",
         "wall ms",
         "Mcycles/s",
-        "t4 speedup",
     ]);
     for m in &results {
         t.row([
@@ -404,26 +339,9 @@ fn main() {
             ),
             format!("{:.1}", m.wall_ms),
             format!("{:.2}", m.cps / 1e6),
-            m.speedup_t4.map_or_else(
-                || "-".to_string(),
-                |s| {
-                    if host_cpus() <= 1 {
-                        format!("{s:.2}x*")
-                    } else {
-                        format!("{s:.2}x")
-                    }
-                },
-            ),
         ]);
     }
     println!("{}", t.to_markdown());
-    if host_cpus() <= 1 && results.iter().any(|m| m.speedup_t4.is_some()) {
-        eprintln!(
-            "* host has {} CPU(s): the sim_threads={MC_THREADS} leg time-slices, so \
-             speedup_t4 is informational only and exempt from --check",
-            host_cpus()
-        );
-    }
 
     if let Some(path) = out_file {
         std::fs::write(&path, to_json(mode, &results)).unwrap_or_else(|e| {
@@ -453,7 +371,6 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let base_cpus = parse_baseline_host_cpus(&json);
         let mut failed = false;
         for entry in &baseline {
             let name = &entry.name;
@@ -469,32 +386,6 @@ fn main() {
                 floor / 1e6
             );
             failed |= m.cps < floor;
-            // The commit-parallel scaling gate: compare speedup_t4 against
-            // the baseline's only when both sides ran on hosts with spare
-            // CPUs — a 1-CPU host time-slices the 4-thread leg, so its
-            // speedup says nothing about the parallel path.
-            if let (Some(base_s), Some(run_s)) = (entry.speedup_t4, m.speedup_t4) {
-                if host_cpus() <= 1 {
-                    eprintln!(
-                        "  {name}: speedup_t4 {run_s:.2}x exempt from check — \
-                         this host has {} CPU(s)",
-                        host_cpus()
-                    );
-                } else if base_cpus <= 1 {
-                    eprintln!(
-                        "  {name}: speedup_t4 {run_s:.2}x exempt from check — \
-                         baseline was recorded on a {base_cpus}-CPU host"
-                    );
-                } else {
-                    let s_floor = base_s * (1.0 - REGRESSION_TOLERANCE);
-                    let s_verdict = if run_s >= s_floor { "ok" } else { "REGRESSED" };
-                    eprintln!(
-                        "  {name}: speedup_t4 {run_s:.2}x vs baseline {base_s:.2}x \
-                         (floor {s_floor:.2}x) — {s_verdict}"
-                    );
-                    failed |= run_s < s_floor;
-                }
-            }
         }
         if failed {
             eprintln!(

@@ -5,7 +5,7 @@
 //! cargo run --release -p vortex-bench --bin vxsim -- kernel.s \
 //!     [--cores N] [--warps W] [--threads T] [--ports P] [--trace N] [--disasm] \
 //!     [--sample N] [--stats-json FILE] [--timeline FILE] [--trace-out FILE] \
-//!     [--inject seed=S,dram_drop=R,...] [--sim-threads N] \
+//!     [--inject seed=S,dram_drop=R,...] \
 //!     [--checkpoint-every N] [--checkpoint-dir DIR] [--resume FILE] \
 //!     [--resume-retry N] [--no-fast-forward]
 //! ```
@@ -109,7 +109,7 @@ fn usage() -> ! {
         "usage: vxsim <kernel.s> [--cores N] [--warps W] [--threads T] \
          [--ports P] [--clusters N] [--l2] [--l3] [--trace N] [--disasm] [--max-cycles N] \
          [--sample N] [--stats-json FILE] [--timeline FILE] \
-         [--trace-out FILE] [--inject k=v,...] [--sim-threads N] \
+         [--trace-out FILE] [--inject k=v,...] \
          [--checkpoint-every N] [--checkpoint-dir DIR] [--resume FILE] \
          [--resume-retry N] [--profile] [--profile-out FILE] [--annotate] \
          [--no-fast-forward]\n\
@@ -171,7 +171,6 @@ fn main() {
     let mut disasm = false;
     let mut max_cycles = 100_000_000u64;
     let mut sample = 0u64;
-    let mut sim_threads: Option<usize> = None;
     let mut stats_json: Option<String> = None;
     let mut timeline_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -197,7 +196,6 @@ fn main() {
             "--trace" => trace = positive(&mut it, "--trace") as usize,
             "--max-cycles" => max_cycles = positive(&mut it, "--max-cycles"),
             "--sample" => sample = positive(&mut it, "--sample"),
-            "--sim-threads" => sim_threads = Some(positive(&mut it, "--sim-threads") as usize),
             "--checkpoint-every" => checkpoint_every = positive(&mut it, "--checkpoint-every"),
             "--resume-retry" => resume_retry = positive(&mut it, "--resume-retry") as u32,
             "--checkpoint-dir" => checkpoint_dir = take_path(&mut it, "--checkpoint-dir"),
@@ -244,10 +242,7 @@ fn main() {
     config.core.dcache.ports = ports;
     // Clustered topology: `--clusters N` splits the cores into N equal
     // clusters and `--l2`/`--l3` hang the default shared levels behind
-    // them — the configuration whose commit phase shards across
-    // `--sim-threads` host threads (DESIGN.md §15). All three are timing
-    // knobs like `--cores`: results stay bit-identical at any
-    // `--sim-threads`.
+    // them — one commit shard per cluster (DESIGN.md §15).
     if let Some(n) = clusters {
         if cores % n != 0 {
             eprintln!("vxsim: --clusters {n} must divide --cores {cores}");
@@ -266,16 +261,8 @@ fn main() {
     // observation-only (cycles and stats are bit-identical on or off).
     let profiling = profile || profile_out.is_some() || annotate;
     config.profile = profiling;
-    // Host pool threads for the per-cycle compute phase. `--threads` is
-    // taken (SIMT threads per wavefront), hence the longer name; without
-    // the flag the `VORTEX_SIM_THREADS` default from `with_cores` stands.
-    // Results are bit-identical at any setting — this is wall-clock only.
-    if let Some(n) = sim_threads {
-        config.sim_threads = n;
-    }
-    // Like `--sim-threads`, a host-only knob: every simulated observable
-    // (cycle counts, stats, checkpoints) is bit-identical with skipping on
-    // or off. `with_cores` already honored `VORTEX_FF`; the explicit flag
+    // A host-only knob: every simulated observable (cycle counts, stats,
+    // checkpoints) is bit-identical with skipping on or off. `with_cores` already honored `VORTEX_FF`; the explicit flag
     // takes precedence over the environment.
     if no_fast_forward {
         config.fast_forward = false;

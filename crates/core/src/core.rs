@@ -1344,7 +1344,7 @@ impl Core {
     /// RAM in program order and clears the log. The GPU level calls this
     /// for every core in ascending core-id order after all compute phases
     /// finish, so global store-application order is a pure function of the
-    /// configuration — never of host thread scheduling.
+    /// configuration.
     pub fn commit_stores(&mut self, ram: &mut Ram) {
         if !self.store_log.is_empty() {
             self.store_log.apply(ram);
@@ -1354,8 +1354,8 @@ impl Core {
     /// Decisions drawn across this core's fault plans (I-cache, D-cache,
     /// texture unit); 0 when no faults are attached. Part of the per-site
     /// determinism audit: every per-core plan is ticked inside
-    /// [`Core::tick`] on exactly one thread, so equal draw totals across
-    /// host thread counts prove the streams stayed per-site deterministic.
+    /// [`Core::tick`], so equal draw totals across fast-forward and
+    /// resume boundaries prove the streams stayed per-site deterministic.
     pub fn fault_draws(&self) -> u64 {
         self.icache.fault_draws() + self.dcache.fault_draws() + self.tex_unit.fault_draws()
     }

@@ -6,7 +6,7 @@
 //! this sits below the AFU command processor (Figure 4); the command
 //! processor itself lives in `vortex-runtime`.
 //!
-//! ### Two-phase cycles and deterministic parallelism
+//! ### Two-phase cycles
 //!
 //! Every simulated cycle is an explicit two-phase protocol:
 //!
@@ -17,21 +17,18 @@
 //!    miss traffic drains into the shared hierarchy, the hierarchy ticks,
 //!    and responses / global-barrier releases distribute back.
 //!
-//! Because cores never touch shared state during compute and the commit
-//! phase is serial and order-fixed, the compute phase can fan out over a
-//! worker pool ([`GpuConfig::sim_threads`] > 1) with *bit-identical*
-//! results — cycles, [`GpuStats`], telemetry and fault decisions are a
-//! pure function of the configuration, never of host thread scheduling.
-//! Sequential mode ([`Gpu::step`]) runs the same two phases on one thread.
+//! The write log is simulated semantics, not a threading device: it fixes
+//! the point at which a store becomes visible to other cores — the end
+//! of the cycle it executes in, applied in core-id order. Cycles,
+//! [`GpuStats`], telemetry and fault decisions are a pure function of the
+//! configuration.
 
 use crate::barrier::{BarrierOutcome, BarrierTable};
 use crate::config::GpuConfig;
 use crate::core::Core;
 use crate::error::{HangReport, SimError};
-use crate::pool::{self, PoolCtl};
 use crate::stats::GpuStats;
 use crate::telemetry::{Telemetry, TimeSeries};
-use std::sync::{Mutex, MutexGuard, RwLock};
 use vortex_faults::FaultConfig;
 use vortex_mem::hierarchy::{ClusterShard, HierarchyConfig, MemHierarchy};
 use vortex_mem::{MemReq, MemRsp, Ram, Tag};
@@ -74,9 +71,7 @@ pub struct Gpu {
     /// every cycle, at the price of entering an idle span a few cycles
     /// late. Any issued instruction resets it (see [`Gpu::ff_instr_mark`])
     /// so a fresh stall span is probed on its very first cycle. Host-only
-    /// state like the skip counters: both run modes attempt probes at the
-    /// same logical points, so the schedule — and therefore the skip
-    /// accounting — stays identical across `sim_threads`.
+    /// state like the skip counters.
     ff_backoff: u64,
     /// Total wavefront-instructions across cores at the last fast-forward
     /// probe decision. While this is moving the machine is issuing — the
@@ -89,33 +84,6 @@ pub struct Gpu {
 /// Live cycles to wait after a failed fast-forward probe before probing
 /// again (see [`Gpu::ff_backoff`]).
 const FF_PROBE_BACKOFF: u64 = 3;
-
-/// Uniform indexed access to the core array during the serial commit
-/// phase. Sequential mode passes the plain `[Core]` slice; parallel mode
-/// passes the per-cycle vector of mutex guards (one lock round per cycle,
-/// not one per access).
-trait CoreArray {
-    fn len(&self) -> usize;
-    fn core_mut(&mut self, i: usize) -> &mut Core;
-}
-
-impl CoreArray for [Core] {
-    fn len(&self) -> usize {
-        self.len()
-    }
-    fn core_mut(&mut self, i: usize) -> &mut Core {
-        &mut self[i]
-    }
-}
-
-impl CoreArray for [MutexGuard<'_, Core>] {
-    fn len(&self) -> usize {
-        self.len()
-    }
-    fn core_mut(&mut self, i: usize) -> &mut Core {
-        &mut self[i]
-    }
-}
 
 /// Moves one core's L1 miss traffic into its cluster shard, I-cache
 /// stream first. Shard admission is a pure capacity handshake (no fault
@@ -159,39 +127,18 @@ fn deliver_shard_rsps(shard: &mut ClusterShard, core: &mut Core, port: usize) {
 /// the historical tick-then-deliver sequence. A quiescent shard with no
 /// incoming traffic costs one branch: its tick would change no state
 /// and its response queues are provably empty.
-fn commit_shard<A: CoreArray + ?Sized>(shard: &mut ClusterShard, cores: &mut A) {
+fn commit_shard(shard: &mut ClusterShard, cores: &mut [Core]) {
     let range = shard.core_range();
-    for cid in range.clone() {
-        drain_core_into_shard(shard, cores.core_mut(cid), cid - range.start);
+    let cores = &mut cores[range];
+    for (port, core) in cores.iter_mut().enumerate() {
+        drain_core_into_shard(shard, core, port);
     }
     if shard.quiet() {
         return;
     }
     shard.begin_and_tick();
-    for cid in range.clone() {
-        deliver_shard_rsps(shard, cores.core_mut(cid), cid - range.start);
-    }
-}
-
-/// [`commit_shard`] against the parallel run's mutex slots: locks the
-/// shard for the duration and each of its cores one at a time. Shards
-/// touch disjoint core sets and nothing shared, so concurrent calls on
-/// distinct shards are race-free and the cycle's outcome is independent
-/// of their interleaving.
-pub(crate) fn commit_shard_slots(shard: &Mutex<ClusterShard>, slots: &[Mutex<Core>]) {
-    let mut shard = shard.lock().expect("shard not poisoned");
-    let range = shard.core_range();
-    for cid in range.clone() {
-        let mut core = slots[cid].lock().expect("core slot not poisoned");
-        drain_core_into_shard(&mut shard, &mut core, cid - range.start);
-    }
-    if shard.quiet() {
-        return;
-    }
-    shard.begin_and_tick();
-    for cid in range.clone() {
-        let mut core = slots[cid].lock().expect("core slot not poisoned");
-        deliver_shard_rsps(&mut shard, &mut core, cid - range.start);
+    for (port, core) in cores.iter_mut().enumerate() {
+        deliver_shard_rsps(shard, core, port);
     }
 }
 
@@ -275,18 +222,13 @@ impl Gpu {
         }
     }
 
-    /// Advances the whole processor one cycle: the sequential form of the
-    /// two-phase protocol (compute every core against the RAM snapshot,
-    /// then commit in core-id order). Parallel runs execute exactly these
-    /// phases with the compute loop fanned out, so `step`-driven and
-    /// multi-threaded simulations are bit-identical.
+    /// Advances the whole processor one cycle: compute every core against
+    /// the RAM snapshot, then commit in core-id order.
     ///
     /// # Errors
     /// Propagates structured execution traps from the cores. Every core
-    /// still computes its cycle even when an earlier core traps (matching
-    /// parallel mode, where sibling compute phases are already in flight);
-    /// the lowest-core-id trap is returned and the commit phase is
-    /// skipped.
+    /// still computes its cycle even when an earlier core traps; the
+    /// lowest-core-id trap is returned and the commit phase is skipped.
     pub fn step(&mut self) -> Result<(), SimError> {
         // Compute phase.
         let mut first_err = None;
@@ -301,36 +243,29 @@ impl Gpu {
             return Err(e);
         }
 
-        // Commit phase.
-        Self::commit_cycle(
-            self.config.core.num_wavefronts,
-            self.cores.as_mut_slice(),
-            &mut self.ram,
-            &mut self.hierarchy,
-            &mut self.global_barriers,
-            &mut self.release_scratch,
-        );
+        self.commit();
         self.cycle += 1;
         Ok(())
     }
 
-    /// The commit phase, shared verbatim by sequential ([`Gpu::step`]) and
-    /// parallel (`run_par`) execution: write logs apply to RAM, L1 miss
-    /// traffic drains into the hierarchy, the hierarchy ticks, fill
-    /// responses and global-barrier releases distribute back. Every loop
-    /// walks cores in ascending id order — that fixed order is the whole
-    /// determinism argument, so nothing here may depend on anything else.
-    fn commit_cycle<A: CoreArray + ?Sized>(
-        nw: usize,
-        cores: &mut A,
-        ram: &mut Ram,
-        hierarchy: &mut MemHierarchy,
-        global_barriers: &mut BarrierTable,
-        releases: &mut Vec<usize>,
-    ) {
+    /// The commit phase: write logs apply to RAM, L1 miss traffic drains
+    /// into the hierarchy, the hierarchy ticks, fill responses and
+    /// global-barrier releases distribute back. Every loop walks cores in
+    /// ascending id order — that fixed order is the whole determinism
+    /// argument, so nothing here may depend on anything else.
+    fn commit(&mut self) {
+        let Self {
+            config,
+            cores,
+            hierarchy,
+            global_barriers,
+            ram,
+            release_scratch,
+            ..
+        } = self;
         // Buffered stores → functional RAM, in core-id then program order.
-        for cid in 0..cores.len() {
-            cores.core_mut(cid).commit_stores(ram);
+        for core in cores.iter_mut() {
+            core.commit_stores(ram);
         }
 
         // L1 miss traffic in, shard/DRAM ticks, fill responses out.
@@ -343,7 +278,12 @@ impl Gpu {
             hierarchy.merge();
         }
 
-        Self::commit_barriers(nw, cores, global_barriers, releases);
+        Self::commit_barriers(
+            config.core.num_wavefronts,
+            cores,
+            global_barriers,
+            release_scratch,
+        );
     }
 
     /// The flat-topology commit: L1 miss traffic drains straight into
@@ -351,11 +291,10 @@ impl Gpu {
     /// guarantees capacity, the per-request handshake when it is full or
     /// a fault plan draws a decision per push — then the DRAM ticks and
     /// routed responses deliver back to the owning L1s.
-    fn commit_flat<A: CoreArray + ?Sized>(cores: &mut A, hierarchy: &mut MemHierarchy) {
+    fn commit_flat(cores: &mut [Core], hierarchy: &mut MemHierarchy) {
         let mut space = hierarchy.flat_space();
-        for cid in 0..cores.len() {
+        for (cid, core) in cores.iter_mut().enumerate() {
             if space > 0 {
-                let core = cores.core_mut(cid);
                 let n = core.icache_mem_req_count().min(space);
                 for req in core.drain_icache_mem_reqs(n) {
                     hierarchy.admit_flat(
@@ -377,7 +316,6 @@ impl Gpu {
                 // below fails cheaply, as the batch would have) or a
                 // fault plan gates each handshake (each push must draw
                 // its own decision).
-                let core = cores.core_mut(cid);
                 while let Some(req) = core.peek_icache_mem_req().copied() {
                     let wrapped = MemReq {
                         tag: req.tag | ICACHE_BIT,
@@ -402,8 +340,7 @@ impl Gpu {
         hierarchy.merge();
 
         // Fill responses → owning L1.
-        for cid in 0..cores.len() {
-            let core = cores.core_mut(cid);
+        for (cid, core) in cores.iter_mut().enumerate() {
             while let Some(rsp) = hierarchy.pop_rsp(cid) {
                 let icache = rsp.tag & ICACHE_BIT != 0;
                 core.push_l1_mem_rsp(
@@ -418,15 +355,14 @@ impl Gpu {
 
     /// Global barriers (barrier ids with the MSB set): participants are
     /// wavefronts across all cores, identified as core*NW + wid.
-    fn commit_barriers<A: CoreArray + ?Sized>(
+    fn commit_barriers(
         nw: usize,
-        cores: &mut A,
+        cores: &mut [Core],
         global_barriers: &mut BarrierTable,
         releases: &mut Vec<usize>,
     ) {
         releases.clear();
-        for cid in 0..cores.len() {
-            let core = cores.core_mut(cid);
+        for (cid, core) in cores.iter_mut().enumerate() {
             for arrival in core.take_global_barrier_arrivals() {
                 let slot = (arrival.id as usize) % global_barriers.len();
                 match global_barriers.arrive(slot, cid * nw + arrival.wid, arrival.count) {
@@ -436,7 +372,7 @@ impl Gpu {
             }
         }
         for &gid in releases.iter() {
-            cores.core_mut(gid / nw).release_wavefront(gid % nw);
+            cores[gid / nw].release_wavefront(gid % nw);
         }
     }
 
@@ -448,20 +384,12 @@ impl Gpu {
     /// Monotone whole-machine progress token: changes whenever any core
     /// retires work or the DRAM services traffic. Used by the watchdog.
     fn progress_token(&self) -> u64 {
-        Self::progress_token_with(&self.hierarchy, self.cores.iter())
-    }
-
-    /// [`Gpu::progress_token`] over an explicit core iterator, so the
-    /// parallel run loop (cores moved into mutex slots) can share it.
-    fn progress_token_with<'a>(
-        hierarchy: &MemHierarchy,
-        cores: impl Iterator<Item = &'a Core>,
-    ) -> u64 {
+        let hierarchy = &self.hierarchy;
         let mut token = hierarchy
             .dram_reads()
             .wrapping_add(hierarchy.dram_writes())
             .wrapping_add(hierarchy.dram_dropped());
-        for core in cores {
+        for core in &self.cores {
             token = token.wrapping_add(core.progress_token());
         }
         token
@@ -469,34 +397,19 @@ impl Gpu {
 
     /// Builds the watchdog's diagnosis of the current (stuck) state.
     pub fn hang_report(&self) -> HangReport {
-        Self::hang_report_with(
-            self.cycle,
-            self.config.watchdog_cycles,
-            &self.hierarchy,
-            self.cores.iter(),
-        )
-    }
-
-    fn hang_report_with<'a>(
-        cycle: u64,
-        window: u64,
-        hierarchy: &MemHierarchy,
-        cores: impl Iterator<Item = &'a Core>,
-    ) -> HangReport {
         HangReport {
-            cycle,
-            window,
-            cores: cores.map(Core::hang_state).collect(),
-            memory: hierarchy.occupancy(),
+            cycle: self.cycle,
+            window: self.config.watchdog_cycles,
+            cores: self.cores.iter().map(Core::hang_state).collect(),
+            memory: self.hierarchy.occupancy(),
         }
     }
 
     /// Per-site fault-plan draw counts: one entry per core (its I-cache,
     /// D-cache and texture plans summed) plus a final entry for the shared
-    /// hierarchy (DRAM + L2s + L3). Every plan is per-site and ticked by
-    /// exactly one thread, so equal vectors at equal simulation points
-    /// across `sim_threads` settings audit that fault decision streams are
-    /// consumed deterministically regardless of host parallelism.
+    /// hierarchy (DRAM + L2s + L3). Equal vectors at equal simulation
+    /// points audit that fault decision streams are consumed identically
+    /// across fast-forward, checkpoint and resume boundaries.
     pub fn fault_draws(&self) -> Vec<u64> {
         let mut draws: Vec<u64> = self.cores.iter().map(Core::fault_draws).collect();
         draws.push(self.hierarchy.fault_draws());
@@ -521,10 +434,6 @@ impl Gpu {
     /// only after at least one full window with no progress — but detection
     /// happens at window granularity, i.e. up to `2 × watchdog_cycles`
     /// after the machine actually stopped.
-    /// When [`GpuConfig::sim_threads`] exceeds 1 (clamped to the core
-    /// count), the compute phase of every cycle fans out over a persistent
-    /// scoped worker pool while commit stays serial — results are
-    /// bit-identical to `sim_threads = 1`, only wall-clock changes.
     pub fn run(&mut self, max_cycles: u64) -> Result<GpuStats, SimError> {
         let drill = self.config.checkpoint_drill;
         if drill == 0 {
@@ -559,11 +468,7 @@ impl Gpu {
     }
 
     fn run_leg(&mut self, max_cycles: u64) -> Result<GpuStats, SimError> {
-        let threads = self.config.sim_threads.clamp(1, self.config.num_cores);
-        if threads > 1 {
-            return self.run_par(max_cycles, threads);
-        }
-        let result = self.run_seq_loop(max_cycles);
+        let result = self.run_loop(max_cycles);
         // Parks are a host-side replay optimization scoped to the run
         // loops: flush them on every exit path so callers (snapshots,
         // checkpoint drills, stats consumers) always see fully material-
@@ -574,7 +479,7 @@ impl Gpu {
         result
     }
 
-    fn run_seq_loop(&mut self, max_cycles: u64) -> Result<GpuStats, SimError> {
+    fn run_loop(&mut self, max_cycles: u64) -> Result<GpuStats, SimError> {
         self.last_progress_token = self.progress_token();
         self.last_progress_cycle = self.cycle;
         while !self.is_done() {
@@ -596,10 +501,10 @@ impl Gpu {
         Ok(self.stats())
     }
 
-    /// The per-cycle telemetry and watchdog work of the sequential run
-    /// loop, shared verbatim by the live-step and fast-forward paths (a
-    /// skipped span must sample and check progress at exactly the cycles a
-    /// live span would).
+    /// The per-cycle telemetry and watchdog work of the run loop, shared
+    /// verbatim by the live-step and fast-forward paths (a skipped span
+    /// must sample and check progress at exactly the cycles a live span
+    /// would).
     ///
     /// # Errors
     /// [`SimError::Hang`] from the watchdog.
@@ -627,27 +532,21 @@ impl Gpu {
     /// evaluation, next telemetry window close). Any cycle strictly before
     /// the returned horizon is a provably idle tick whose counter effects
     /// [`Core::bulk_advance`] replays exactly.
-    fn ff_horizon<'a>(
-        now: u64,
-        max_cycles: u64,
-        watchdog_deadline: Option<u64>,
-        telemetry_due: Option<u64>,
-        hierarchy: &MemHierarchy,
-        cores: impl Iterator<Item = &'a Core>,
-    ) -> u64 {
-        let mut horizon = hierarchy.next_event_cycle(now);
-        for core in cores {
+    fn ff_horizon(&self, max_cycles: u64) -> u64 {
+        let now = self.cycle;
+        let mut horizon = self.hierarchy.next_event_cycle(now);
+        for core in &self.cores {
             if horizon <= now + 1 {
                 return horizon; // nothing to skip; stop probing
             }
             horizon = horizon.min(core.next_event_cycle());
         }
         horizon = horizon.min(max_cycles);
-        if let Some(deadline) = watchdog_deadline {
+        if let Some(deadline) = self.watchdog_deadline() {
             horizon = horizon.min(deadline);
         }
-        if let Some(due) = telemetry_due {
-            horizon = horizon.min(due);
+        if let Some(tel) = &self.telemetry {
+            horizon = horizon.min(tel.next_due());
         }
         horizon
     }
@@ -667,8 +566,7 @@ impl Gpu {
     /// return `now` — so the probe costs one counter compare and re-arms
     /// for the first cycle of the next stall span. Only runs of
     /// consecutive *failed* scans back off. Deterministic: `issued` is
-    /// simulated state and both run modes call this at the same logical
-    /// points, so the jump schedule is identical across `sim_threads`.
+    /// simulated state, so the jump schedule is a function of the run.
     fn ff_probe_due(&mut self, issued: u64) -> bool {
         if issued != self.ff_instr_mark {
             self.ff_instr_mark = issued;
@@ -682,7 +580,7 @@ impl Gpu {
         true
     }
 
-    /// Attempts one fast-forward jump (sequential mode). Returns `true`
+    /// Attempts one fast-forward jump. Returns `true`
     /// and advances the machine to the horizon when a skip of at least two
     /// cycles is possible; otherwise leaves the machine untouched.
     fn try_fast_forward(&mut self, max_cycles: u64) -> bool {
@@ -694,14 +592,7 @@ impl Gpu {
             return false;
         }
         let now = self.cycle;
-        let horizon = Self::ff_horizon(
-            now,
-            max_cycles,
-            self.watchdog_deadline(),
-            self.telemetry.as_ref().map(Telemetry::next_due),
-            &self.hierarchy,
-            self.cores.iter(),
-        );
+        let horizon = self.ff_horizon(max_cycles);
         if horizon <= now.saturating_add(1) {
             self.ff_backoff = FF_PROBE_BACKOFF;
             return false;
@@ -718,320 +609,23 @@ impl Gpu {
         true
     }
 
-    /// Multi-threaded [`Gpu::run`]: cores move into per-core mutex slots
-    /// and the functional RAM into a read-write lock for the duration of
-    /// the run, a scoped pool of `threads - 1` workers plus this thread
-    /// ticks contiguous core chunks each compute phase, and this thread
-    /// alone runs the serial commit phase. Fields are restored on every
-    /// exit path (the `Gpu` looks untouched from outside; a *panic* in a
-    /// worker propagates out of the scope and leaves the `Gpu` unusable —
-    /// acceptable, since panics abort the simulation anyway).
-    fn run_par(&mut self, max_cycles: u64, threads: usize) -> Result<GpuStats, SimError> {
-        let num_cores = self.config.num_cores;
-        let chunk = num_cores.div_ceil(threads);
-        let slots: Vec<Mutex<Core>> = self.cores.drain(..).map(Mutex::new).collect();
-        let ram_cell = RwLock::new(std::mem::take(&mut self.ram));
-        // The hierarchy moves into a lock for the run so commit-phase
-        // workers can reach the shards; a minimal flat placeholder keeps
-        // `self` whole in the meantime.
-        let nshards = self.hierarchy.num_shards();
-        let placeholder = MemHierarchy::new(HierarchyConfig::flat(0, self.config.dram));
-        let hier_cell = RwLock::new(std::mem::replace(&mut self.hierarchy, placeholder));
-        let shard_chunk = nshards.div_ceil(threads);
-        let ctl = PoolCtl::new(threads - 1);
-
-        let outcome = std::thread::scope(|scope| {
-            for w in 0..threads - 1 {
-                // Worker `w` owns cores [chunk·(w+1), chunk·(w+2)) and
-                // the matching shard chunk; the main thread keeps chunk
-                // 0 of each so it works rather than idles during either
-                // fan-out.
-                let start = (chunk * (w + 1)).min(num_cores);
-                let end = (chunk * (w + 2)).min(num_cores);
-                let s_start = (shard_chunk * (w + 1)).min(nshards);
-                let s_end = (shard_chunk * (w + 2)).min(nshards);
-                let (ctl, slots, ram_cell, hier_cell) = (&ctl, &slots, &ram_cell, &hier_cell);
-                scope.spawn(move || {
-                    pool::worker_loop(ctl, w, start..end, s_start..s_end, slots, ram_cell, hier_cell)
-                });
-            }
-            let result = self.run_par_loop(
-                max_cycles,
-                &ctl,
-                &slots,
-                &ram_cell,
-                &hier_cell,
-                0..chunk,
-                0..shard_chunk.min(nshards),
-            );
-            ctl.shutdown();
-            result
-        });
-
-        self.cores = slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("core slot not poisoned"))
-            .collect();
-        self.ram = ram_cell.into_inner().expect("ram lock not poisoned");
-        self.hierarchy = hier_cell.into_inner().expect("hierarchy lock not poisoned");
-        // Same exit-path park flush as the sequential leg (see `run_leg`).
-        for core in &mut self.cores {
-            core.unpark();
-        }
-        outcome
-    }
-
-    /// The per-cycle loop of a parallel run. Mirrors the sequential loop
-    /// in [`Gpu::run`] exactly — same phase order, same telemetry and
-    /// watchdog placement — with the compute phase distributed and every
-    /// serial section performed under one lock round per cycle.
-    fn run_par_loop(
-        &mut self,
-        max_cycles: u64,
-        ctl: &PoolCtl,
-        slots: &[Mutex<Core>],
-        ram_cell: &RwLock<Ram>,
-        hier_cell: &RwLock<MemHierarchy>,
-        main_range: std::ops::Range<usize>,
-        main_shards: std::ops::Range<usize>,
-    ) -> Result<GpuStats, SimError> {
-        let nw = self.config.core.num_wavefronts;
-        // Fan the commit phase out only when at least two shards can
-        // overlap; flat and single-cluster topologies commit serially.
-        let split_commit = hier_cell
-            .read()
-            .expect("hierarchy lock not poisoned")
-            .num_shards()
-            >= 2;
-        fn lock_all<'a>(slots: &'a [Mutex<Core>]) -> Vec<MutexGuard<'a, Core>> {
-            slots
-                .iter()
-                .map(|s| s.lock().expect("core slot not poisoned"))
-                .collect()
-        }
-
-        // Watchdog baseline + already-done check (run() may be re-entered
-        // on a finished machine).
-        {
-            let mut hier = hier_cell.write().expect("hierarchy lock not poisoned");
-            let mut guards = lock_all(slots);
-            self.last_progress_token =
-                Self::progress_token_with(&hier, guards.iter().map(|g| &**g));
-            self.last_progress_cycle = self.cycle;
-            if guards.iter().all(|c| c.is_done()) && hier.is_idle() {
-                return Ok(self.stats_with_cores(guards.iter().map(|g| &**g), &hier));
-            }
-            // Same fast-forward opportunity the sequential loop sees on
-            // its first iteration — identical jump schedules keep the
-            // skip accounting equal across `sim_threads` settings.
-            while self.cycle < max_cycles
-                && self.try_fast_forward_par(max_cycles, &mut guards, &mut hier)
-            {
-                self.after_cycle_checks_with(&guards, &hier)?;
-            }
-        }
-
-        loop {
-            if self.cycle >= max_cycles {
-                return Err(SimError::Timeout { cycles: self.cycle });
-            }
-
-            // ---- Compute phase: workers + this thread's own chunk. ----
-            ctl.start_cycle();
-            let mut err: Option<SimError> = None;
-            {
-                let ram = ram_cell.read().expect("ram lock not poisoned");
-                for cid in main_range.clone() {
-                    let mut core = slots[cid].lock().expect("core slot not poisoned");
-                    if let Err(e) = core.tick(&ram) {
-                        if err.is_none() {
-                            err = Some(e);
-                        }
-                    }
-                }
-            }
-            ctl.wait_workers();
-            if err.is_none() {
-                // Worker chunks are in ascending core-id order and each
-                // records only its own lowest-core error, so the first
-                // occupied slot is the globally lowest one — the same
-                // error a sequential run returns.
-                for w in 0..ctl.workers() {
-                    if let Some(e) = ctl.take_error(w) {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = err {
-                return Err(e);
-            }
-
-            // ---- Commit phase. ----
-            if split_commit {
-                // Serial prologue: buffered stores apply to RAM in
-                // core-id order before any shard moves miss traffic.
-                {
-                    let mut ram = ram_cell.write().expect("ram lock not poisoned");
-                    for slot in slots {
-                        slot.lock()
-                            .expect("core slot not poisoned")
-                            .commit_stores(&mut ram);
-                    }
-                }
-                // Fan the shard ticks out: workers + this thread's own
-                // shard chunk, each under the shared hierarchy read lock.
-                ctl.start_commit();
-                {
-                    let hier = hier_cell.read().expect("hierarchy lock not poisoned");
-                    let shards = hier.shards();
-                    for si in main_shards.clone() {
-                        commit_shard_slots(&shards[si], slots);
-                    }
-                }
-                ctl.wait_workers();
-            }
-
-            // ---- Serial epilogue + per-cycle checks, one lock round. ----
-            let mut hier = hier_cell.write().expect("hierarchy lock not poisoned");
-            let mut guards = lock_all(slots);
-            if split_commit {
-                hier.merge();
-                Self::commit_barriers(
-                    nw,
-                    guards.as_mut_slice(),
-                    &mut self.global_barriers,
-                    &mut self.release_scratch,
-                );
-            } else {
-                let mut ram = ram_cell.write().expect("ram lock not poisoned");
-                Self::commit_cycle(
-                    nw,
-                    guards.as_mut_slice(),
-                    &mut ram,
-                    &mut hier,
-                    &mut self.global_barriers,
-                    &mut self.release_scratch,
-                );
-            }
-            self.cycle += 1;
-
-            self.after_cycle_checks_with(&guards, &hier)?;
-
-            if guards.iter().all(|c| c.is_done()) && hier.is_idle() {
-                return Ok(self.stats_with_cores(guards.iter().map(|g| &**g), &hier));
-            }
-
-            // Fast-forward while the commit-phase lock round is still
-            // held: mirrors the sequential loop's attempt at the top of
-            // its next iteration (the jump schedule must match so the
-            // skip accounting is identical across `sim_threads`).
-            while self.cycle < max_cycles
-                && self.try_fast_forward_par(max_cycles, &mut guards, &mut hier)
-            {
-                self.after_cycle_checks_with(&guards, &hier)?;
-            }
-        }
-    }
-
-    /// Parallel-mode twin of [`Gpu::after_cycle_checks`], operating on the
-    /// per-cycle lock round instead of the owned core vector.
-    ///
-    /// # Errors
-    /// [`SimError::Hang`] from the watchdog.
-    fn after_cycle_checks_with(
-        &mut self,
-        guards: &[MutexGuard<'_, Core>],
-        hierarchy: &MemHierarchy,
-    ) -> Result<(), SimError> {
-        if let Some(tel) = self.telemetry.as_mut() {
-            if tel.due(self.cycle) {
-                Self::take_sample_with(tel, self.cycle, hierarchy, guards.iter().map(|g| &**g));
-            }
-        }
-        let window = self.config.watchdog_cycles;
-        if window != 0 && self.cycle - self.last_progress_cycle >= window {
-            let token = Self::progress_token_with(hierarchy, guards.iter().map(|g| &**g));
-            if token == self.last_progress_token {
-                return Err(SimError::Hang(Box::new(Self::hang_report_with(
-                    self.cycle,
-                    window,
-                    hierarchy,
-                    guards.iter().map(|g| &**g),
-                ))));
-            }
-            self.last_progress_token = token;
-            self.last_progress_cycle = self.cycle;
-        }
-        Ok(())
-    }
-
-    /// Parallel-mode twin of [`Gpu::try_fast_forward`], operating on the
-    /// held lock round.
-    fn try_fast_forward_par(
-        &mut self,
-        max_cycles: u64,
-        guards: &mut [MutexGuard<'_, Core>],
-        hierarchy: &mut MemHierarchy,
-    ) -> bool {
-        if !self.config.fast_forward {
-            return false;
-        }
-        let issued = guards.iter().map(|g| g.instrs_issued()).sum();
-        if !self.ff_probe_due(issued) {
-            return false;
-        }
-        let now = self.cycle;
-        let horizon = Self::ff_horizon(
-            now,
-            max_cycles,
-            self.watchdog_deadline(),
-            self.telemetry.as_ref().map(Telemetry::next_due),
-            hierarchy,
-            guards.iter().map(|g| &**g),
-        );
-        if horizon <= now.saturating_add(1) {
-            self.ff_backoff = FF_PROBE_BACKOFF;
-            return false;
-        }
-        let delta = horizon - now;
-        for core in guards.iter_mut() {
-            core.bulk_advance(delta);
-        }
-        hierarchy.bulk_advance(delta);
-        self.cycle = horizon;
-        self.cycles_skipped += delta;
-        self.skip_events += 1;
-        true
-    }
-
     /// Records one telemetry window: cumulative counter snapshots plus
     /// instantaneous occupancies. Read-only with respect to simulated
     /// state — the machine cannot observe that it is being sampled.
     fn take_sample(&mut self) {
         let tel = self.telemetry.as_mut().expect("caller checked enablement");
-        Self::take_sample_with(tel, self.cycle, &self.hierarchy, self.cores.iter());
-    }
-
-    /// [`Gpu::take_sample`] over an explicit core iterator (shared with
-    /// the parallel run loop). `Clone` because the snapshot and occupancy
-    /// probes walk the cores separately.
-    fn take_sample_with<'a>(
-        tel: &mut Telemetry,
-        cycle: u64,
-        hierarchy: &MemHierarchy,
-        cores: impl Iterator<Item = &'a Core> + Clone,
-    ) {
-        let snapshots: Vec<_> = cores.clone().map(Core::stats_snapshot).collect();
-        let occupancies: Vec<_> = cores
+        let snapshots: Vec<_> = self.cores.iter().map(Core::stats_snapshot).collect();
+        let occupancies: Vec<_> = self
+            .cores
+            .iter()
             .map(|c| (c.ibuffer_occupancy(), c.dcache_mshr_pending()))
             .collect();
         tel.record(
-            cycle,
+            self.cycle,
             &snapshots,
             &occupancies,
-            hierarchy.dram_reads(),
-            hierarchy.dram_writes(),
+            self.hierarchy.dram_reads(),
+            self.hierarchy.dram_writes(),
         );
     }
 
@@ -1043,9 +637,9 @@ impl Gpu {
 
     /// The merged PC-level profile, when [`GpuConfig::profile`] enabled
     /// one. Per-core accumulators are folded in ascending core-id order so
-    /// the result is bit-identical across `sim_threads` settings and
-    /// checkpoint/resume boundaries (the accumulators ride inside the
-    /// per-core snapshot payload).
+    /// the result is bit-identical across fast-forward and checkpoint/
+    /// resume boundaries (the accumulators ride inside the per-core
+    /// snapshot payload).
     pub fn profile(&self) -> Option<crate::profile::GpuProfile> {
         let mut merged: Option<crate::profile::GpuProfile> = None;
         for core in &self.cores {
@@ -1060,22 +654,11 @@ impl Gpu {
 
     /// Snapshot of all counters.
     pub fn stats(&self) -> GpuStats {
-        self.stats_with_cores(self.cores.iter(), &self.hierarchy)
-    }
-
-    /// [`Gpu::stats`] over an explicit core iterator and hierarchy, so
-    /// the parallel run loop (cores and hierarchy moved into locks) can
-    /// share it.
-    fn stats_with_cores<'a>(
-        &self,
-        cores: impl Iterator<Item = &'a Core>,
-        hierarchy: &MemHierarchy,
-    ) -> GpuStats {
         GpuStats {
             cycles: self.cycle,
-            cores: cores.map(Core::stats_snapshot).collect(),
-            dram_reads: hierarchy.dram_reads(),
-            dram_writes: hierarchy.dram_writes(),
+            cores: self.cores.iter().map(Core::stats_snapshot).collect(),
+            dram_reads: self.hierarchy.dram_reads(),
+            dram_writes: self.hierarchy.dram_writes(),
             cycles_skipped: self.cycles_skipped,
             skip_events: self.skip_events,
         }
@@ -1084,13 +667,15 @@ impl Gpu {
     // --- Checkpoint / restore -------------------------------------------
 
     /// Fingerprint of everything about this configuration that shapes
-    /// simulated state. [`GpuConfig::sim_threads`],
-    /// [`GpuConfig::checkpoint_drill`] and [`GpuConfig::fast_forward`] are
-    /// excluded on purpose: all three are host-execution knobs that never
-    /// affect simulated behavior (the two-phase protocol, the
-    /// save→restore identity, and the skip-equivalence proof guarantee
+    /// simulated state. [`GpuConfig::checkpoint_drill`] and
+    /// [`GpuConfig::fast_forward`] are excluded on purpose: both are
+    /// host-execution knobs that never affect simulated behavior (the
+    /// save→restore identity and the skip-equivalence proof guarantee
     /// bit-identical results), so a snapshot taken under one setting
-    /// restores at any other.
+    /// restores at the other. The inert [`GpuConfig::sim_threads`] is
+    /// normalized too, which keeps the `Debug` string — and so every
+    /// fingerprint — identical to the one older snapshots were sealed
+    /// with (pinned by the root `snapshot_fingerprint` test).
     pub fn config_fingerprint(&self) -> u64 {
         let mut c = self.config.clone();
         c.sim_threads = 1;
@@ -1108,7 +693,7 @@ impl Gpu {
     /// The contract: `restore_snapshot` on a freshly built GPU of the same
     /// configuration, followed by `run`, is bit-identical (cycles, stats,
     /// memory image, fault draws, telemetry) to the original uninterrupted
-    /// run — at any `sim_threads` setting.
+    /// run.
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = vortex_snapshot::Writer::new();
         w.u64(self.cycle);
@@ -1127,8 +712,7 @@ impl Gpu {
     }
 
     /// Restores the complete simulator state from a snapshot taken by
-    /// [`Gpu::save_snapshot`] on an identically-configured GPU (any
-    /// `sim_threads` value).
+    /// [`Gpu::save_snapshot`] on an identically-configured GPU.
     ///
     /// # Errors
     /// [`SimError::SnapshotCorrupt`] — never a panic — when the container

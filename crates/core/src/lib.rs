@@ -33,7 +33,6 @@ pub mod gpu;
 pub mod ipdom;
 pub mod lsu;
 pub mod profile;
-mod pool;
 pub mod regfile;
 pub mod scheduler;
 pub mod scoreboard;
@@ -43,7 +42,7 @@ pub mod trace;
 pub mod warp;
 
 pub use crate::core::Core;
-pub use config::{sim_threads_from_env, CoreConfig, GpuConfig, SMEM_BASE};
+pub use config::{CoreConfig, GpuConfig, SMEM_BASE};
 pub use error::{CoreHangState, HangReport, SimError, WarpHangState};
 pub use gpu::Gpu;
 pub use profile::{CoreProfile, GpuProfile, PcStats};

@@ -35,8 +35,8 @@
 //! Each core accumulates its own [`CoreProfile`] in a `BTreeMap` keyed by
 //! PC; [`crate::Gpu::profile`] merges them in core-id order. Both
 //! iteration orders are total and data-independent, so the merged
-//! [`GpuProfile`] — and any rendering of it — is bit-identical across
-//! `sim_threads` values and across checkpoint/resume boundaries (the
+//! [`GpuProfile`] — and any rendering of it — is bit-identical with
+//! fast-forward on or off and across checkpoint/resume boundaries (the
 //! profile rides inside [`super::core::Core::save_state`]).
 
 use crate::config::SMEM_BASE;

@@ -4,10 +4,11 @@
 //! simulated cycles, every `GpuStats` counter, the final memory image,
 //! the telemetry time series, and each fault site's RNG draw count — to a
 //! run that was never touched. The interruption here is maximal: the
-//! machine is killed and rebuilt at *every* checkpoint boundary, across
-//! `sim_threads ∈ {1, 4}` (snapshots are host-thread-count portable:
-//! the config fingerprint normalizes `sim_threads`), with and without
-//! fault injection and telemetry sampling.
+//! machine is killed and rebuilt at *every* checkpoint boundary, on a
+//! flat and a clustered L2+L3 topology, with and without fault injection
+//! and telemetry sampling, and across fast-forward settings (snapshots
+//! are portable between them: the config fingerprint normalizes
+//! `fast_forward`).
 
 use vortex_asm::Assembler;
 use vortex_core::{Gpu, GpuConfig, GpuStats, SimError};
@@ -19,7 +20,7 @@ const NUM_CORES: usize = 8;
 const SLOTS: u32 = 0x9000;
 const RESULTS: u32 = 0x9400;
 
-/// The par_determinism workload: every core lights up all wavefronts and
+/// A commit-phase stress workload: every core lights up all wavefronts and
 /// threads, each thread hammers a private global counter through the D$,
 /// odd threads diverge, and wavefront 0 / thread 0 of every core runs two
 /// rounds of publish → fence → global barrier → sum. Mid-run state here
@@ -95,12 +96,29 @@ fn kernel() -> Assembler {
     a
 }
 
-fn make_config(sim_threads: usize, sample: u64) -> GpuConfig {
+fn make_config(sample: u64) -> GpuConfig {
     let mut config = GpuConfig::with_cores(NUM_CORES);
-    config.sim_threads = sim_threads;
     config.sample_interval = sample;
     config.watchdog_cycles = 50_000;
     config
+}
+
+/// [`make_config`] on 4 clusters of 2 cores behind per-cluster L2s and a
+/// shared L3: the snapshot must carry every shard's in-flight state.
+fn clustered_config(sample: u64) -> GpuConfig {
+    let mut config = make_config(sample);
+    config.cores_per_cluster = 2;
+    config.l2 = Some(vortex_mem::hierarchy::l2_default());
+    config.l3 = Some(vortex_mem::hierarchy::l3_default());
+    config
+}
+
+/// Both topologies, labelled, for one sampling interval.
+fn topologies(sample: u64) -> [(&'static str, GpuConfig); 2] {
+    [
+        ("flat", make_config(sample)),
+        ("clustered", clustered_config(sample)),
+    ]
 }
 
 fn boot(config: GpuConfig, faults: Option<&FaultConfig>) -> Gpu {
@@ -134,26 +152,25 @@ fn outcome_of(gpu: &Gpu, stats: GpuStats) -> RunOutcome {
 }
 
 /// One continuous run to completion.
-fn run_uninterrupted(sim_threads: usize, faults: Option<&FaultConfig>, sample: u64) -> RunOutcome {
-    let mut gpu = boot(make_config(sim_threads, sample), faults);
+fn run_uninterrupted(config: GpuConfig, faults: Option<&FaultConfig>) -> RunOutcome {
+    let mut gpu = boot(config, faults);
     let stats = gpu.run(5_000_000).expect("kernel completes");
     outcome_of(&gpu, stats)
 }
 
 /// The same run killed and resumed at every `every`-cycle boundary: at
 /// each pause the machine is serialized, dropped, and a *fresh* `Gpu`
-/// (built from `resume_threads`' config, with no program load and no
-/// fault re-application — everything must come from the snapshot) picks
-/// up from the bytes. `boot_threads` and `resume_threads` may differ to
-/// prove snapshots are portable across host thread counts.
+/// (built from `resume`, with no program load and no fault
+/// re-application — everything must come from the snapshot) picks up
+/// from the bytes. `boot` and `resume` may differ in host-execution knobs
+/// to prove snapshots are portable across them.
 fn run_interrupted(
-    boot_threads: usize,
-    resume_threads: usize,
+    boot_config: GpuConfig,
+    resume: &GpuConfig,
     faults: Option<&FaultConfig>,
-    sample: u64,
     every: u64,
 ) -> RunOutcome {
-    let mut gpu = boot(make_config(boot_threads, sample), faults);
+    let mut gpu = boot(boot_config, faults);
     let mut interruptions = 0u32;
     let stats = loop {
         let target = (gpu.cycle() / every + 1) * every;
@@ -162,7 +179,7 @@ fn run_interrupted(
             Err(SimError::Timeout { cycles }) if cycles < 5_000_000 => {
                 let bytes = gpu.save_snapshot();
                 drop(gpu);
-                gpu = Gpu::new(make_config(resume_threads, sample));
+                gpu = Gpu::new(resume.clone());
                 gpu.restore_snapshot(&bytes)
                     .expect("own snapshot restores");
                 interruptions += 1;
@@ -188,28 +205,28 @@ fn assert_same(label: &str, a: &RunOutcome, b: &RunOutcome) {
 
 #[test]
 fn interrupted_run_is_bit_identical() {
-    let baseline = run_uninterrupted(1, None, 0);
-    let total = u32::from_le_bytes(baseline.mem[0..4].try_into().unwrap());
-    assert_eq!(total, 16, "gtid 0 bumped its slot 16 times");
-    for threads in [1usize, 4] {
-        let run = run_interrupted(threads, threads, None, 0, 400);
-        assert_same(
-            &format!("interrupted sim_threads {threads} vs continuous"),
-            &baseline,
-            &run,
-        );
+    for (topology, config) in topologies(0) {
+        let baseline = run_uninterrupted(config.clone(), None);
+        let total = u32::from_le_bytes(baseline.mem[0..4].try_into().unwrap());
+        assert_eq!(total, 16, "{topology}: gtid 0 bumped its slot 16 times");
+        let run = run_interrupted(config.clone(), &config, None, 400);
+        assert_same(&format!("{topology} interrupted vs continuous"), &baseline, &run);
     }
 }
 
 #[test]
-fn resume_is_portable_across_sim_threads() {
-    let baseline = run_uninterrupted(1, None, 0);
-    // Saved on a sequential machine, resumed on a 4-thread one — and the
-    // other way around. Cycle-exact either way.
-    for (boot_threads, resume_threads) in [(1usize, 4usize), (4, 1)] {
-        let run = run_interrupted(boot_threads, resume_threads, None, 0, 400);
+fn resume_is_portable_across_fast_forward() {
+    let baseline = run_uninterrupted(make_config(0), None);
+    // Saved with skipping on, resumed with it off — and the other way
+    // around. Cycle-exact either way.
+    for boot_ff in [true, false] {
+        let mut boot_config = make_config(0);
+        boot_config.fast_forward = boot_ff;
+        let mut resume = make_config(0);
+        resume.fast_forward = !boot_ff;
+        let run = run_interrupted(boot_config, &resume, None, 400);
         assert_same(
-            &format!("boot {boot_threads} threads, resume {resume_threads}"),
+            &format!("boot ff {boot_ff}, resume ff {}", !boot_ff),
             &baseline,
             &run,
         );
@@ -227,36 +244,28 @@ fn interrupted_faulted_run_is_bit_identical() {
          dram_extra_latency=40,cache_rsp_stall=300",
     )
     .expect("valid spec");
-    let baseline = run_uninterrupted(1, Some(&faults), 0);
-    assert!(
-        baseline.fault_draws.iter().sum::<u64>() > 0,
-        "fault sites must actually consume their decision streams"
-    );
-    for threads in [1usize, 4] {
-        let run = run_interrupted(threads, threads, Some(&faults), 0, 400);
-        assert_same(
-            &format!("faulted interrupted sim_threads {threads}"),
-            &baseline,
-            &run,
+    for (topology, config) in topologies(0) {
+        let baseline = run_uninterrupted(config.clone(), Some(&faults));
+        assert!(
+            baseline.fault_draws.iter().sum::<u64>() > 0,
+            "fault sites must actually consume their decision streams"
         );
+        let run = run_interrupted(config.clone(), &config, Some(&faults), 400);
+        assert_same(&format!("{topology} faulted interrupted"), &baseline, &run);
     }
 }
 
 #[test]
 fn interrupted_sampled_run_is_bit_identical() {
-    let baseline = run_uninterrupted(1, None, 64);
-    let series = baseline.series.as_ref().expect("sampling enabled");
-    assert!(!series.samples.is_empty(), "run is long enough to sample");
-    // Checkpoint cadence deliberately not a multiple of the sample
-    // interval, so pauses land mid-window and the accumulated deltas must
-    // survive the round trip.
-    for threads in [1usize, 4] {
-        let run = run_interrupted(threads, threads, None, 64, 300);
-        assert_same(
-            &format!("sampled interrupted sim_threads {threads}"),
-            &baseline,
-            &run,
-        );
+    for (topology, config) in topologies(64) {
+        let baseline = run_uninterrupted(config.clone(), None);
+        let series = baseline.series.as_ref().expect("sampling enabled");
+        assert!(!series.samples.is_empty(), "run is long enough to sample");
+        // Checkpoint cadence deliberately not a multiple of the sample
+        // interval, so pauses land mid-window and the accumulated deltas
+        // must survive the round trip.
+        let run = run_interrupted(config.clone(), &config, None, 300);
+        assert_same(&format!("{topology} sampled interrupted"), &baseline, &run);
     }
 }
 
@@ -264,14 +273,14 @@ fn interrupted_sampled_run_is_bit_identical() {
 fn resaved_snapshot_bytes_are_identical() {
     // save → restore → save must reproduce the exact bytes: nothing in
     // the machine state is lost or reordered by a round trip.
-    let mut gpu = boot(make_config(1, 64), None);
+    let mut gpu = boot(make_config(64), None);
     for pause in [300u64, 900, 1_500] {
         match gpu.run(pause) {
             Err(SimError::Timeout { .. }) => {}
             other => panic!("expected checkpoint pause, got {other:?}"),
         }
         let bytes = gpu.save_snapshot();
-        let mut fresh = Gpu::new(make_config(1, 64));
+        let mut fresh = Gpu::new(make_config(64));
         fresh
             .restore_snapshot(&bytes)
             .expect("own snapshot restores");

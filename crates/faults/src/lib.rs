@@ -211,9 +211,9 @@ impl FaultPlan {
     /// How many decisions this plan has drawn. Because a plan's stream
     /// position fully determines every future decision, equal draw counts
     /// at equal simulation points are a sufficient audit that two runs
-    /// (e.g. at different host thread counts) consumed each per-site
-    /// stream identically — the parallel simulator's determinism test
-    /// compares these across `sim_threads` settings.
+    /// (e.g. with fast-forward on and off, or resumed from a snapshot)
+    /// consumed each per-site stream identically — the determinism suites
+    /// compare these.
     pub fn draws(&self) -> u64 {
         self.draws
     }

@@ -4,7 +4,7 @@
 //! standard flamegraph tooling, and label symbolization.
 //!
 //! Everything here is a pure function of a [`GpuProfile`] — which is
-//! itself bit-identical across `sim_threads` and checkpoint boundaries —
+//! itself bit-identical across fast-forward and checkpoint boundaries —
 //! so every artifact in this module inherits that determinism byte for
 //! byte.
 

@@ -1,7 +1,7 @@
 //! Device-vs-host rasterizer parity fuzzing: random triangle soups —
 //! including degenerate (zero-area) triangles and edges snapped through
 //! pixel centers — must render bit-identically on the SIMT kernel and the
-//! host reference, at `sim_threads = 1` and `= 4`, on a framebuffer whose
+//! host reference on a 4-core GPU, on a framebuffer whose
 //! dimensions are *not* tile multiples (40×24 → a 3×2 grid of partially
 //! covered tiles).
 
@@ -99,24 +99,16 @@ fn depth_bits(fb: &Framebuffer) -> Vec<u32> {
 
 fn assert_frames_match(soup: &(Vec<Vertex>, Vec<u32>), state: &RenderState) {
     let (verts, idx) = soup;
-    let mut host_fb = None;
-    for sim_threads in [1usize, 4] {
-        let mut config = GpuConfig::with_cores(4);
-        config.sim_threads = sim_threads;
-        let mut r = Renderer::new(config, W, H);
-        let report = r.draw(verts, idx, &Mat4::IDENTITY, state, None);
-        let host = host_fb.get_or_insert_with(|| r.draw_host(verts, idx, &Mat4::IDENTITY, state, None));
-        assert_eq!(
-            report.framebuffer.color, host.color,
-            "color parity broke at sim_threads={sim_threads}"
-        );
-        assert_eq!(
-            depth_bits(&report.framebuffer),
-            depth_bits(host),
-            "depth parity broke at sim_threads={sim_threads}"
-        );
-        assert_eq!(report.framebuffer.stencil, host.stencil);
-    }
+    let mut r = Renderer::new(GpuConfig::with_cores(4), W, H);
+    let report = r.draw(verts, idx, &Mat4::IDENTITY, state, None);
+    let host = r.draw_host(verts, idx, &Mat4::IDENTITY, state, None);
+    assert_eq!(report.framebuffer.color, host.color, "color parity broke");
+    assert_eq!(
+        depth_bits(&report.framebuffer),
+        depth_bits(&host),
+        "depth parity broke"
+    );
+    assert_eq!(report.framebuffer.stencil, host.stencil);
 }
 
 proptest! {
