@@ -218,9 +218,7 @@ fn json_field(line: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\": ");
     let start = line.find(&pat)? + pat.len();
     let rest = &line[start..];
-    let end = rest
-        .find(|c: char| c == ',' || c == '}')
-        .unwrap_or(rest.len());
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
     Some(rest[..end].trim().trim_matches('"').to_string())
 }
 

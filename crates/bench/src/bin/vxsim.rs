@@ -341,11 +341,10 @@ fn main() {
     let mut recovery = RecoveryReport::default();
     let mut retries_left = resume_retry;
     let outcome = loop {
-        let target = if checkpoint_every > 0 {
-            ((gpu.cycle() / checkpoint_every + 1) * checkpoint_every).min(max_cycles)
-        } else {
-            max_cycles
-        };
+        let target = gpu
+            .cycle()
+            .checked_div(checkpoint_every)
+            .map_or(max_cycles, |n| ((n + 1) * checkpoint_every).min(max_cycles));
         match gpu.run(target) {
             Err(SimError::Timeout { cycles }) if cycles < max_cycles => {
                 // A checkpoint boundary, not a real timeout: persist and

@@ -50,16 +50,16 @@ struct Completion {
     wb: Writeback,
 }
 
-/// Deferred state of a *parked* core: a core whose own
-/// [`Core::next_event_cycle`] proved that every tick until `until` is a
-/// pure idle bump. While parked, [`Core::tick`] reduces to two counter
-/// increments and the per-tick side effects (stall bucket, profiler
-/// attribution, shared-memory clock, texture countdowns) accumulate in
-/// `delta`, to be replayed in one batch by [`Core::unpark`] — the same
-/// replay [`Core::bulk_advance`] performs, and legal for the same
-/// reason: any state change that could alter the memoized classification
-/// is an event that would have kept the horizon at "now", or arrives
-/// through an external entry point that unparks first.
+/// Deferred state of a *parked* core: a core whose own horizon probe
+/// (see [`Core::try_park`]) proved that every tick until `until` is a
+/// pure idle bump. While parked, [`Core::tick`] and the GPU-level jump
+/// ([`Core::bulk_advance`]) reduce to two counter increments, and the
+/// per-tick side effects (stall bucket, profiler attribution,
+/// shared-memory clock, texture countdowns) accumulate in `delta`, to be
+/// replayed in one batch by [`Core::unpark`]. That is legal because any
+/// state change that could alter the memoized classification is an
+/// event that would have kept the horizon at "now", or arrives through
+/// an external entry point that unparks first.
 ///
 /// Parking is host-side scheduling, invisible to the simulated machine:
 /// it is never serialized, and every run loop flushes all parks before
@@ -82,8 +82,8 @@ struct Park {
 }
 
 /// Outcome of the pure issue-candidate scan. One scan is shared by the
-/// issue stage, the fast-forward horizon probe, and the bulk advance so
-/// all three classify a no-pick cycle identically (same bucket, same
+/// issue stage and the park probe, so a parked span classifies every
+/// no-pick cycle exactly as the issue stage would (same bucket, same
 /// profiler attribution site) by construction.
 #[derive(Debug, Clone, Copy)]
 struct IssueScan {
@@ -186,11 +186,14 @@ pub struct Core {
     cycle: u64,
     /// Sticky quiescence flag: set once every wavefront has halted and
     /// every queue, pipeline, and cache in the core is empty. From that
-    /// point a full [`Core::tick`] reduces to exactly two counter bumps
-    /// (`cycle` and the ibuffer-empty stall counter), so the tick takes a
-    /// short-circuit path that performs only those — the stats stay
-    /// bit-identical while idle cores in a multi-core run stop paying the
-    /// full pipeline walk every cycle. Cleared by [`Core::launch`] and by
+    /// point [`Core::tick`] takes a short-circuit path that bumps only
+    /// `cycle` and the ibuffer-empty stall counter. That is *not* a full
+    /// idle tick: it also stops the scratchpad clock and the texture
+    /// unit's `idle_cycles` counter, so a drained core's bytes differ from
+    /// a live idle core's. They are the same with fast-forward on or off,
+    /// because `drained` latches on the same cycle either way (a core
+    /// about to latch never parks) and [`Core::bulk_advance`] bumps
+    /// exactly the same two counters. Cleared by [`Core::launch`] and by
     /// a (defensive, should-be-impossible) late memory response. Never set
     /// while fault plans are attached: faulted components draw from their
     /// decision streams even on empty offers, so skipping ticks would
@@ -525,10 +528,9 @@ impl Core {
     /// The issue stage's candidate scan, as a pure function of core state:
     /// which wavefront would issue this cycle, or — when none can — how the
     /// stalled cycle would be classified. Shared verbatim by
-    /// [`Core::issue_stage`] (which acts on it), the fast-forward horizon
-    /// probe (which requires `picked == None` to skip), and
-    /// [`Core::bulk_advance`] (which replays the classification for every
-    /// skipped cycle), so all three agree bit for bit.
+    /// [`Core::issue_stage`] (which acts on it) and the park probe (which
+    /// requires `picked == None` to park, and memoizes the classification
+    /// for every parked cycle), so both agree bit for bit.
     fn issue_scan(&self) -> IssueScan {
         let nw = self.config.num_wavefronts;
         let mut scan = IssueScan {
@@ -960,10 +962,10 @@ impl Core {
     /// decode stages; the caller aborts the simulation and reports them.
     pub fn tick(&mut self, ram: &Ram) -> Result<(), SimError> {
         if self.drained {
-            // The full tick below is a no-op for a drained core except for
-            // these two counters (issue finds every ibuffer empty; every
-            // other stage finds its queues empty) — keep them so the
-            // counters match the unskipped path bit for bit.
+            // Only these two counters move. The full tick below would
+            // also advance the scratchpad clock and the texture unit's
+            // idle count; this path deliberately does not (see
+            // `drained`), and the bulk advance matches it.
             self.stats.stalls.ibuffer_empty += 1;
             self.cycle += 1;
             return Ok(());
@@ -980,8 +982,6 @@ impl Core {
             // the tick below normally.
             self.unpark();
         }
-        self.icache.begin_cycle();
-        self.dcache.begin_cycle();
 
         self.writeback_stage();
         self.issue_stage(ram)?;
@@ -1095,15 +1095,11 @@ impl Core {
         Ok(())
     }
 
-    /// Park probe: asks [`Core::next_event_cycle`]'s horizon logic for
-    /// the first live cycle and parks the core when the proven-idle span
-    /// is long enough to beat the replay bookkeeping.
+    /// Park probe: asks [`Core::horizon_probe`] for the first live cycle
+    /// and parks the core when the proven-idle span is long enough to
+    /// beat the replay bookkeeping. Parking is the only way a live core
+    /// opens the GPU-level fast-forward horizon.
     fn try_park(&mut self) {
-        if self.has_faults {
-            // Fault plans draw on every live tick; parking would desync
-            // their decision streams (same rule as the GPU fast-forward).
-            return;
-        }
         let (horizon, scan) = self.horizon_probe();
         if horizon < self.cycle + Self::PARK_MIN_SPAN {
             self.park_backoff = Self::PARK_PROBE_BACKOFF;
@@ -1133,21 +1129,16 @@ impl Core {
         });
     }
 
-    /// Replays a park's deferred ticks — the exact per-cycle effects
-    /// [`Core::bulk_advance`] applies for a skipped span, except the
-    /// cycle counter, which already advanced tick by tick. Idempotent;
-    /// called from every external entry point that could invalidate the
-    /// memoized horizon, and by the run loops before they return.
+    /// Replays a park's deferred ticks — the exact per-cycle effects of
+    /// `delta` live idle ticks, except the cycle counter, which already
+    /// advanced. Idempotent; called from every external entry point that
+    /// could invalidate the memoized horizon, and by the run loop before
+    /// it returns.
     pub(crate) fn unpark(&mut self) {
         let Some(p) = self.park.take() else { return };
         if p.delta == 0 {
             return;
         }
-        // Live idle ticks open each cycle by clearing the caches'
-        // serialized arbitration claims; replay that so snapshots taken
-        // after a parked span match the unskipped bytes.
-        self.icache.begin_cycle();
-        self.dcache.begin_cycle();
         if p.blocked_scoreboard {
             self.stats.stalls.scoreboard += p.delta;
         } else if p.blocked_fu {
@@ -1165,9 +1156,9 @@ impl Core {
     }
 
     /// Whether the core has fully wound down (the condition under which
-    /// [`Core::tick`] latches `drained`). Also consulted by the
-    /// fast-forward horizon probe: a core about to latch must take one
-    /// live tick so the transition lands on the same cycle either way.
+    /// [`Core::tick`] latches `drained`). Also consulted by the park
+    /// probe: a core about to latch must take one live tick so the
+    /// transition lands on the same cycle either way.
     fn quiescent(&self) -> bool {
         !self.has_faults
             && self.wavefronts.iter().all(|w| !w.active)
@@ -1181,45 +1172,47 @@ impl Core {
             && self.is_done_slow()
     }
 
-    /// First cycle at which ticking this core is *not* a pure, replicable
-    /// idle bump — the core's contribution to the GPU fast-forward
-    /// horizon. Returns `self.cycle` ("now") when the next tick does real
-    /// work (or consumes a fault draw), `u64::MAX` when nothing core-local
-    /// will ever happen again (drained, or stalled purely on external
-    /// events), and an exact future cycle when the only pending work is a
-    /// timer expiry (arithmetic completion, fast-fetch arrival, FU
-    /// busy-until, shared-memory latency, texture sampler).
+    /// The core's contribution to the GPU fast-forward horizon, in O(1):
+    /// `u64::MAX` when drained, the park's `until` when parked, and
+    /// `self.cycle` ("now", no skip) otherwise. A live core never opens
+    /// the global horizon; it has to park first.
+    ///
+    /// A park reports the horizon memoized at park time rather than a
+    /// recomputation: the texture sampler countdowns are *relative* and
+    /// stale while their decrements sit deferred in the park, so a live
+    /// recomputation would over-report the horizon.
+    pub fn next_event_cycle(&self) -> u64 {
+        if self.drained {
+            u64::MAX
+        } else if let Some(p) = &self.park {
+            p.until
+        } else {
+            self.cycle
+        }
+    }
+
+    /// The park probe's horizon computation: the first cycle at which
+    /// ticking this live core is *not* a pure, replicable idle bump.
+    /// Returns `self.cycle` ("now") when the next tick does real work (or
+    /// consumes a fault draw), `u64::MAX` when nothing core-local will
+    /// ever happen again (stalled purely on external events), and an
+    /// exact future cycle when the only pending work is a timer expiry
+    /// (arithmetic completion, fast-fetch arrival, FU busy-until,
+    /// shared-memory latency, texture sampler). Also returns the
+    /// [`IssueScan`] when the probe got far enough to run it (`Some`
+    /// exactly when the returned horizon is in the future), whose
+    /// classification the park memoizes.
     ///
     /// Every cycle in `[now, horizon)` must charge the same stall bucket
     /// and profiler site as a live tick would — guaranteed because any
     /// state change that could alter the [`Core::issue_scan`] outcome is
     /// itself an event that returns `now` here (or arrives through
-    /// [`Core::push_l1_mem_rsp`], which the GPU-level hierarchy horizon
-    /// bounds).
-    pub fn next_event_cycle(&self) -> u64 {
-        if let Some(p) = &self.park {
-            // Return the horizon memoized at park time rather than
-            // recomputing: the texture sampler countdowns are *relative*
-            // and stale while their decrements sit deferred in the park,
-            // so a live recomputation would over-report the horizon.
-            return p.until;
-        }
-        self.horizon_probe().0
-    }
-
-    /// The horizon computation behind [`Core::next_event_cycle`], also
-    /// returning the [`IssueScan`] when the probe got far enough to run
-    /// it (`Some` exactly when the returned horizon is in the future) —
-    /// the park probe memoizes that scan's classification.
+    /// [`Core::push_l1_mem_rsp`], which unparks).
     fn horizon_probe(&self) -> (u64, Option<IssueScan>) {
         let now = self.cycle;
-        if self.drained {
-            // The drained tick is exactly `ibuffer_empty += 1; cycle += 1`.
-            return (u64::MAX, None);
-        }
         // Any fault plan attached to this core draws at fixed per-tick
         // sites (cache offers, texture tick) — skipping would desync the
-        // audited decision streams, so faulted cores never fast-forward.
+        // audited decision streams, so faulted cores never park.
         if self.has_faults
             || !self.store_log.is_empty()
             || !self.global_barrier_out.is_empty()
@@ -1286,57 +1279,19 @@ impl Core {
     }
 
     /// Advances the core by `delta` cycles in one step, reproducing bit for
-    /// bit what `delta` consecutive live ticks would have done. Only legal
-    /// when [`Core::next_event_cycle`] returned a horizon `>= cycle +
-    /// delta`: under that guarantee every skipped tick classifies the
-    /// stall identically, so the whole span collapses to one bucket bump.
+    /// bit what `delta` consecutive ticks would have done. Only legal when
+    /// [`Core::next_event_cycle`] returned a horizon `>= cycle + delta`,
+    /// i.e. the core is drained (the span is `delta` drained ticks) or
+    /// parked past the span (which extends the park; every replayed
+    /// effect is additive over sub-spans).
     pub fn bulk_advance(&mut self, delta: u64) {
         if self.drained {
             self.stats.stalls.ibuffer_empty += delta;
-            self.cycle += delta;
-            return;
-        }
-        if let Some(p) = &mut self.park {
-            // The GPU-level horizon consulted this core's memoized
-            // `until`, so `delta` keeps us inside the parked span: defer
-            // the whole jump into the park (every replayed effect is
-            // additive over sub-spans).
+        } else {
+            let p = self.park.as_mut().expect("bulk_advance on a live core");
             debug_assert!(self.cycle + delta <= p.until);
             p.delta += delta;
-            self.cycle += delta;
-            return;
         }
-        // Live idle ticks open each cycle by clearing the caches'
-        // serialized arbitration claims; replay that so snapshots taken
-        // after a skipped span match the unskipped bytes.
-        self.icache.begin_cycle();
-        self.dcache.begin_cycle();
-        let scan = self.issue_scan();
-        debug_assert!(scan.picked.is_none(), "bulk_advance over an issuable span");
-        if scan.blocked_scoreboard {
-            self.stats.stalls.scoreboard += delta;
-        } else if scan.blocked_fu {
-            self.stats.stalls.fu_busy += delta;
-        } else {
-            self.stats.stalls.ibuffer_empty += delta;
-        }
-        if let Some(p) = self.profile.as_deref_mut() {
-            // Same attribution site as the issue stage's no-pick path.
-            let stall_wid = if scan.blocked_scoreboard {
-                scan.first_scoreboard_wid
-            } else if scan.blocked_fu {
-                scan.first_fu_wid
-            } else {
-                usize::MAX
-            };
-            if stall_wid != usize::MAX {
-                if let Some(&(ref instr, pc, _need)) = self.ibuffer[stall_wid].front() {
-                    p.record_stall_n(pc, || vortex_isa::encode(instr), scan.blocked_scoreboard, delta);
-                }
-            }
-        }
-        self.smem.advance(delta);
-        self.tex_unit.bulk_advance(delta);
         self.cycle += delta;
     }
 
@@ -1358,14 +1313,6 @@ impl Core {
     /// resume boundaries prove the streams stayed per-site deterministic.
     pub fn fault_draws(&self) -> u64 {
         self.icache.fault_draws() + self.dcache.fault_draws() + self.tex_unit.fault_draws()
-    }
-
-    /// Wavefront-instructions issued so far — the incrementally maintained
-    /// counter, readable without the full [`Core::stats_snapshot`] fold.
-    /// The GPU's fast-forward probe gate compares this across cycles as a
-    /// cheap "was anything issued" test.
-    pub fn instrs_issued(&self) -> u64 {
-        self.stats.instrs
     }
 
     /// The core's performance counters, with the cycle count and the

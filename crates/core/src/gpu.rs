@@ -64,26 +64,7 @@ pub struct Gpu {
     cycles_skipped: u64,
     /// Number of fast-forward jumps taken (same host-only status).
     skip_events: u64,
-    /// Fast-forward probe backoff: cycles left before the next horizon
-    /// probe. A failed probe costs a full component scan, so stretches of
-    /// consecutive failures (cache pipelines walking, barrier waits)
-    /// re-arm this and probe 1-in-[`FF_PROBE_BACKOFF`] cycles instead of
-    /// every cycle, at the price of entering an idle span a few cycles
-    /// late. Any issued instruction resets it (see [`Gpu::ff_instr_mark`])
-    /// so a fresh stall span is probed on its very first cycle. Host-only
-    /// state like the skip counters.
-    ff_backoff: u64,
-    /// Total wavefront-instructions across cores at the last fast-forward
-    /// probe decision. While this is moving the machine is issuing — the
-    /// horizon would be `now` — so the probe degenerates to this one
-    /// counter compare; the full component scan only runs on cycles in
-    /// which no core issued.
-    ff_instr_mark: u64,
 }
-
-/// Live cycles to wait after a failed fast-forward probe before probing
-/// again (see [`Gpu::ff_backoff`]).
-const FF_PROBE_BACKOFF: u64 = 3;
 
 /// Moves one core's L1 miss traffic into its cluster shard, I-cache
 /// stream first. Shard admission is a pure capacity handshake (no fault
@@ -136,7 +117,7 @@ fn commit_shard(shard: &mut ClusterShard, cores: &mut [Core]) {
     if shard.quiet() {
         return;
     }
-    shard.begin_and_tick();
+    shard.tick();
     for (port, core) in cores.iter_mut().enumerate() {
         deliver_shard_rsps(shard, core, port);
     }
@@ -174,8 +155,6 @@ impl Gpu {
             release_scratch: Vec::new(),
             cycles_skipped: 0,
             skip_events: 0,
-            ff_backoff: 0,
-            ff_instr_mark: 0,
             config,
         }
     }
@@ -458,8 +437,6 @@ impl Gpu {
                     // the snapshot; carry it across the rebuild by hand.
                     fresh.cycles_skipped = self.cycles_skipped;
                     fresh.skip_events = self.skip_events;
-                    fresh.ff_backoff = self.ff_backoff;
-                    fresh.ff_instr_mark = self.ff_instr_mark;
                     *self = fresh;
                 }
                 other => return other,
@@ -532,16 +509,21 @@ impl Gpu {
     /// evaluation, next telemetry window close). Any cycle strictly before
     /// the returned horizon is a provably idle tick whose counter effects
     /// [`Core::bulk_advance`] replays exactly.
+    ///
+    /// Cores answer first and in O(1): a core that is neither drained nor
+    /// parked reports "now", which ends the probe before the hierarchy is
+    /// asked. So the global jump opens exactly when every core's own park
+    /// probe has already proven its idle span.
     fn ff_horizon(&self, max_cycles: u64) -> u64 {
         let now = self.cycle;
-        let mut horizon = self.hierarchy.next_event_cycle(now);
+        let mut horizon = max_cycles;
         for core in &self.cores {
+            horizon = horizon.min(core.next_event_cycle());
             if horizon <= now + 1 {
                 return horizon; // nothing to skip; stop probing
             }
-            horizon = horizon.min(core.next_event_cycle());
         }
-        horizon = horizon.min(max_cycles);
+        horizon = horizon.min(self.hierarchy.next_event_cycle(now));
         if let Some(deadline) = self.watchdog_deadline() {
             horizon = horizon.min(deadline);
         }
@@ -559,27 +541,6 @@ impl Gpu {
             .then(|| self.last_progress_cycle.saturating_add(self.config.watchdog_cycles))
     }
 
-    /// The cheap front half of a fast-forward probe: `true` when the full
-    /// horizon scan is worth running this cycle, given `issued` (the
-    /// current total of wavefront-instructions across cores). Any issue
-    /// since the last decision means the machine is busy — the scan would
-    /// return `now` — so the probe costs one counter compare and re-arms
-    /// for the first cycle of the next stall span. Only runs of
-    /// consecutive *failed* scans back off. Deterministic: `issued` is
-    /// simulated state, so the jump schedule is a function of the run.
-    fn ff_probe_due(&mut self, issued: u64) -> bool {
-        if issued != self.ff_instr_mark {
-            self.ff_instr_mark = issued;
-            self.ff_backoff = 0;
-            return false;
-        }
-        if self.ff_backoff > 0 {
-            self.ff_backoff -= 1;
-            return false;
-        }
-        true
-    }
-
     /// Attempts one fast-forward jump. Returns `true`
     /// and advances the machine to the horizon when a skip of at least two
     /// cycles is possible; otherwise leaves the machine untouched.
@@ -587,21 +548,15 @@ impl Gpu {
         if !self.config.fast_forward {
             return false;
         }
-        let issued = self.cores.iter().map(Core::instrs_issued).sum();
-        if !self.ff_probe_due(issued) {
-            return false;
-        }
         let now = self.cycle;
         let horizon = self.ff_horizon(max_cycles);
         if horizon <= now.saturating_add(1) {
-            self.ff_backoff = FF_PROBE_BACKOFF;
             return false;
         }
         let delta = horizon - now;
         for core in &mut self.cores {
             core.bulk_advance(delta);
         }
-        // (A skipped span issues nothing, so `ff_instr_mark` stays valid.)
         self.hierarchy.bulk_advance(delta);
         self.cycle = horizon;
         self.cycles_skipped += delta;

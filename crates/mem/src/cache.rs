@@ -288,8 +288,10 @@ struct Bank {
     tags: Vec<Vec<Option<u32>>>,
     /// Round-robin victim pointer per set.
     victim: Vec<usize>,
-    /// Bank claimed by the selector this cycle (reset by `begin_cycle`).
-    claimed: Option<usize>, // index into `input` backing? holds subs count
+    /// Virtual ports used by this cycle's selector claim on the bank
+    /// (`None`: unclaimed). Set by [`Cache::offer`] and cleared by the
+    /// same cycle's [`Cache::tick`], so it never outlives its cycle.
+    claimed: Option<usize>,
 }
 
 impl Bank {
@@ -379,7 +381,9 @@ impl Bank {
         for v in &self.victim {
             w.usize(*v);
         }
-        self.claimed.save(w);
+        // Claim slot: always empty between cycles. Written so the
+        // snapshot layout stays at its original version.
+        None::<usize>.save(w);
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
@@ -403,7 +407,9 @@ impl Bank {
             }
             *v = p;
         }
-        self.claimed = Option::load(r)?;
+        // Older snapshots may carry a claim here; it died with the cycle
+        // that made it (it was always cleared before the next offer).
+        let _stale_claim: Option<usize> = Option::load(r)?;
         Ok(())
     }
 }
@@ -437,11 +443,6 @@ pub struct Cache {
     responses: VecDeque<MemRsp>,
     /// Remaining busy cycles of an in-progress flush.
     flush_busy: u32,
-    /// `true` while any bank may hold a per-cycle claim, i.e. since the
-    /// last [`Cache::offer`] that accepted a request. Lets
-    /// [`Cache::begin_cycle`] skip the bank walk on the (very common)
-    /// cycles where no claim was made.
-    claims_dirty: bool,
     fault: Option<FaultPlan>,
     /// Retired sub-request buffers kept for reuse: the selector builds one
     /// `subs` vector per accepted bank request, so pooling them keeps the
@@ -513,7 +514,6 @@ impl Cache {
             // the steady state allocation-free.
             responses: VecDeque::with_capacity(config.num_banks * config.ports * 2),
             flush_busy: 0,
-            claims_dirty: false,
             fault: None,
             spare_subs: Vec::new(),
             stats: CacheStats::default(),
@@ -584,7 +584,7 @@ impl Cache {
     }
 
     /// `true` when a tick (plus the unconditional per-cycle
-    /// [`Cache::begin_cycle`]/[`Cache::offer`] calls the owner makes)
+    /// [`Cache::offer`] call the owner makes)
     /// would change no state and draw no fault decision: no fault plan
     /// attached (the request interface draws `elastic_stall` on every
     /// offer, even an empty one), no flush in progress, and nothing
@@ -605,21 +605,12 @@ impl Cache {
             })
     }
 
-    /// Starts a new cycle: clears the per-cycle bank-claim state used by the
-    /// selector. Call once per cycle before [`Cache::offer`] / [`Cache::tick`].
-    pub fn begin_cycle(&mut self) {
-        if self.claims_dirty {
-            for bank in &mut self.banks {
-                bank.claimed = None;
-            }
-            self.claims_dirty = false;
-        }
-    }
-
     /// The bank selector: offers `reqs` (one per active lane) to the banks,
     /// removing the accepted ones from the vector. Implements Algorithm 2's
     /// virtual-port assignment: a bank claimed this cycle still accepts a
     /// request for the *same cache line* while coalesced ports remain.
+    /// Every offer of a cycle must come before that cycle's
+    /// [`Cache::tick`], which ends the cycle's claims.
     ///
     /// Returns the number of requests accepted.
     pub fn offer(&mut self, reqs: &mut Vec<MemReq>) -> usize {
@@ -708,15 +699,11 @@ impl Cache {
                 i += 1;
             }
         }
-        if accepted > 0 {
-            // At least one bank took a claim this cycle; the next
-            // `begin_cycle` must walk the banks to clear it.
-            self.claims_dirty = true;
-        }
         accepted
     }
 
-    /// Advances all bank pipelines one cycle.
+    /// Advances all bank pipelines one cycle and ends this cycle's bank
+    /// claims.
     pub fn tick(&mut self) {
         if self.flush_busy > 0 {
             self.flush_busy -= 1;
@@ -724,6 +711,7 @@ impl Cache {
         let num_banks = self.config.num_banks;
         let line_bytes = self.config.line_bytes;
         for bank in &mut self.banks {
+            bank.claimed = None;
             // Workless banks have nothing to shuffle: every stage move and
             // the scheduler below are no-ops, so skipping them changes no
             // state and no stats. Most banks are workless most cycles (the
@@ -974,9 +962,6 @@ impl Cache {
         self.fault = Option::load(r)?;
         self.stats = CacheStats::load(r)?;
         self.spare_subs.clear();
-        // Bank claims are part of the snapshot; recompute the host-side
-        // dirty flag so the next `begin_cycle` clears any restored claim.
-        self.claims_dirty = self.banks.iter().any(|b| b.claimed.is_some());
         Ok(())
     }
 }
@@ -1004,7 +989,6 @@ mod tests {
     fn run_until_idle(cache: &mut Cache, mut reqs: Vec<MemReq>, max_cycles: u64) -> Vec<Tag> {
         let mut got = Vec::new();
         for _ in 0..max_cycles {
-            cache.begin_cycle();
             cache.offer(&mut reqs);
             cache.tick();
             // Perfect memory: respond to fills instantly next cycle.
@@ -1044,7 +1028,6 @@ mod tests {
         let mut mem_reads = 0;
         let mut got = Vec::new();
         for _ in 0..200 {
-            c.begin_cycle();
             c.offer(&mut reqs);
             c.tick();
             while let Some(mreq) = c.pop_mem_req() {
@@ -1071,7 +1054,6 @@ mod tests {
         let mut c = small_cache(1);
         // Same bank (same line even), offered in the same cycle.
         let mut reqs = vec![MemReq::read(1, 0x300), MemReq::read(2, 0x300)];
-        c.begin_cycle();
         let accepted = c.offer(&mut reqs);
         assert_eq!(accepted, 1, "single-port bank takes one request/cycle");
         assert_eq!(c.stats.bank_conflicts, 1);
@@ -1081,7 +1063,6 @@ mod tests {
     fn virtual_ports_coalesce_same_line() {
         let mut c = small_cache(2);
         let mut reqs = vec![MemReq::read(1, 0x300), MemReq::read(2, 0x304)];
-        c.begin_cycle();
         let accepted = c.offer(&mut reqs);
         assert_eq!(accepted, 2, "2-port bank coalesces same-line pair");
         assert_eq!(c.stats.bank_conflicts, 0);
@@ -1093,7 +1074,6 @@ mod tests {
         let mut c = small_cache(4);
         // Same bank (line 0 and line 4 both map to bank 0), different lines.
         let mut reqs = vec![MemReq::read(1, 0x000), MemReq::read(2, 0x400)];
-        c.begin_cycle();
         let accepted = c.offer(&mut reqs);
         assert_eq!(accepted, 1);
         assert_eq!(c.stats.bank_conflicts, 1);
@@ -1105,7 +1085,6 @@ mod tests {
         let mut reqs = vec![MemReq::write(1, 0x500)];
         let mut wrote = 0;
         for _ in 0..50 {
-            c.begin_cycle();
             c.offer(&mut reqs);
             c.tick();
             while let Some(mreq) = c.pop_mem_req() {
@@ -1129,12 +1108,10 @@ mod tests {
         assert!(c.is_flushing());
         assert_eq!(c.stats.flushes, 1);
         // Offer during flush is refused.
-        c.begin_cycle();
         let mut reqs = vec![MemReq::read(2, 0x100)];
         assert_eq!(c.offer(&mut reqs), 0);
         // Wait out the flush, then the access misses again.
         for _ in 0..c.config().sets_per_bank() + 1 {
-            c.begin_cycle();
             c.tick();
         }
         let got = run_until_idle(&mut c, reqs, 100);
@@ -1146,11 +1123,46 @@ mod tests {
     fn utilization_reflects_conflicts() {
         let mut c = small_cache(1);
         let mut reqs = vec![MemReq::read(1, 0x300), MemReq::read(2, 0x300)];
-        c.begin_cycle();
         c.offer(&mut reqs);
         assert!(c.stats.bank_utilization() < 1.0);
         let c2 = small_cache(1);
         assert_eq!(c2.stats.bank_utilization(), 1.0);
+    }
+
+    #[test]
+    fn restored_claims_are_dead() {
+        // A payload whose bank-0 claim slot holds `Some`, as snapshots
+        // written before claims ended with their cycle could.
+        let fresh = small_cache(1);
+        let mut w = Writer::new();
+        fresh.save_state(&mut w);
+        let clean = w.into_bytes();
+        let mut w = Writer::new();
+        fresh.banks[0].save_state(&mut w);
+        let slot = w.len() - 1;
+        assert_eq!(clean[slot], 0, "bank 0's claim slot is saved as `None`");
+        let mut claimed = clean[..slot].to_vec();
+        let mut w = Writer::new();
+        Some(1usize).save(&mut w);
+        claimed.extend_from_slice(&w.into_bytes());
+        claimed.extend_from_slice(&clean[slot + 1..]);
+
+        let mut after = Vec::new();
+        for payload in [&clean, &claimed] {
+            let mut c = small_cache(1);
+            let mut r = Reader::new(payload);
+            c.restore_state(&mut r).expect("payload restores");
+            r.finish().expect("payload fully consumed");
+            // Line 4 maps to bank 0 but is not the line of any claim.
+            let mut reqs = vec![MemReq::read(1, 4 * 64)];
+            assert_eq!(c.offer(&mut reqs), 1, "bank 0 accepts the request");
+            assert_eq!(c.stats.bank_conflicts, 0);
+            c.tick();
+            let mut w = Writer::new();
+            c.save_state(&mut w);
+            after.push(w.into_bytes());
+        }
+        assert_eq!(after[0], after[1], "a restored claim leaves no trace");
     }
 
     #[test]

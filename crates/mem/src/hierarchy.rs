@@ -268,10 +268,6 @@ impl SharedLevel {
         Ok(())
     }
 
-    fn begin_cycle(&mut self) {
-        self.cache.begin_cycle();
-    }
-
     fn tick(&mut self) {
         self.cache.offer(&mut self.pending);
         self.cache.tick();
@@ -380,11 +376,10 @@ impl ClusterShard {
         self.level.ff_idle()
     }
 
-    /// Advances the shard one cycle: clears the bank claims and runs the
-    /// L2. Miss traffic accumulates in the L2's memory queue until the
-    /// next [`MemHierarchy::merge`].
-    pub fn begin_and_tick(&mut self) {
-        self.level.begin_cycle();
+    /// Advances the shard one cycle: runs the L2. Miss traffic
+    /// accumulates in the L2's memory queue until the next
+    /// [`MemHierarchy::merge`].
+    pub fn tick(&mut self) {
         self.level.tick();
     }
 
@@ -621,12 +616,11 @@ impl MemHierarchy {
             }
         }
 
-        // A quiescent L3's tick would be a pure no-op (its bank claims are
-        // already clear — see `Cache::ff_idle`), so skip it; admissions
+        // A quiescent L3's tick would be a pure no-op (see
+        // `Cache::ff_idle`), so skip it; admissions
         // above make it non-idle, so nothing staged is ever stranded.
         if let Some(l3) = &mut self.l3 {
             if !l3.ff_idle() {
-                l3.begin_cycle();
                 l3.tick();
                 drain_to_dram(
                     &mut self.dram,
@@ -676,7 +670,7 @@ impl MemHierarchy {
     pub fn tick(&mut self) {
         for shard in &mut self.shards {
             if !shard.quiet() {
-                shard.begin_and_tick();
+                shard.tick();
             }
         }
         self.merge();
@@ -724,16 +718,8 @@ impl MemHierarchy {
 
     /// The bulk equivalent of `delta` certified-idle ticks (see
     /// [`MemHierarchy::next_event_cycle`]): every queue above the L1s
-    /// is empty, so the only per-tick effects are the shared levels'
-    /// `begin_cycle` (a no-op on an idle selector) and the DRAM clock
-    /// advancing.
+    /// is empty, so the only per-tick effect is the DRAM clock advancing.
     pub fn bulk_advance(&mut self, delta: u64) {
-        for shard in &mut self.shards {
-            shard.level.begin_cycle();
-        }
-        if let Some(l3) = &mut self.l3 {
-            l3.begin_cycle();
-        }
         self.dram.advance(delta);
     }
 
@@ -1086,24 +1072,24 @@ mod tests {
         cfg.l2 = Some(l2_default());
         cfg.l3 = Some(l3_default());
         let mut h = MemHierarchy::new(cfg);
-        let mut outstanding = vec![0usize; 4];
+        let mut outstanding = [0usize; 4];
         let mut next_tag = 0 as Tag;
         for cycle in 0..4000u32 {
-            for core in 0..4usize {
+            for (core, out) in outstanding.iter_mut().enumerate() {
                 // Keep up to 8 reads in flight per core over mixed lines.
-                while outstanding[core] < 8 {
+                while *out < 8 {
                     let addr = (u32::from(next_tag as u16) % 512) * 0x40;
                     if h.push_req(core, MemReq::read(next_tag, addr)).is_err() {
                         break;
                     }
                     next_tag += 1;
-                    outstanding[core] += 1;
+                    *out += 1;
                 }
             }
             h.tick();
-            for core in 0..4usize {
+            for (core, out) in outstanding.iter_mut().enumerate() {
                 while h.pop_rsp(core).is_some() {
-                    outstanding[core] -= 1;
+                    *out -= 1;
                 }
             }
             if cycle > 3000 && outstanding.iter().all(|&o| o == 0) {

@@ -21,7 +21,6 @@ fn tiny(num_ways: usize, mshr: usize) -> Cache {
 fn run(cache: &mut Cache, mut reqs: Vec<MemReq>, reads: usize) {
     let mut got = 0;
     for _ in 0..20_000 {
-        cache.begin_cycle();
         cache.offer(&mut reqs);
         cache.tick();
         while let Some(r) = cache.pop_mem_req() {
@@ -69,10 +68,8 @@ fn flush_during_outstanding_traffic_is_safe() {
     let mut c = tiny(1, 8);
     // Launch a miss but delay the memory response across a flush.
     let mut reqs = vec![MemReq::read(7, 0x100)];
-    c.begin_cycle();
     c.offer(&mut reqs);
     for _ in 0..4 {
-        c.begin_cycle();
         c.tick();
     }
     let fill = c.pop_mem_req().expect("miss went to memory");
@@ -81,7 +78,6 @@ fn flush_during_outstanding_traffic_is_safe() {
     c.push_mem_rsp(MemRsp { tag: fill.tag });
     let mut got = 0;
     for _ in 0..200 {
-        c.begin_cycle();
         c.tick();
         while c.pop_rsp().is_some() {
             got += 1;
@@ -101,7 +97,6 @@ fn mshr_saturation_backpressures_without_deadlock() {
     let mut got = 0;
     let mut cycles = 0u32;
     while got < 32 {
-        c.begin_cycle();
         let mut window: Vec<MemReq> = reqs.drain(..reqs.len().min(2)).collect();
         c.offer(&mut window);
         for (i, r) in window.into_iter().enumerate() {

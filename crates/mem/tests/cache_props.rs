@@ -18,7 +18,6 @@ fn run_trace(config: CacheConfig, dram_cfg: DramConfig, trace: Vec<MemReq>) -> V
     let mut got = Vec::new();
     let budget = 50_000u64;
     for _ in 0..budget {
-        cache.begin_cycle();
         // Offer up to 4 requests per cycle (one wavefront's worth).
         let mut window: Vec<MemReq> = Vec::new();
         while window.len() < 4 && !pending.is_empty() {
@@ -139,7 +138,6 @@ proptest! {
             let mut done = 0usize;
             let reads = trace.iter().filter(|r| !r.write).count();
             for _ in 0..50_000 {
-                cache.begin_cycle();
                 let mut window: Vec<MemReq> = Vec::new();
                 while window.len() < 4 && !pending.is_empty() {
                     window.push(pending.remove(0));

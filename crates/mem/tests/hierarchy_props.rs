@@ -32,10 +32,10 @@ fn drive(mut h: MemHierarchy, traces: Vec<Trace>) -> Result<(), String> {
         .collect();
     let mut got = vec![0usize; num_cores];
     for cycle in 0..200_000u64 {
-        for core in 0..num_cores {
-            if let Some(req) = pending[core].first().copied() {
+        for (core, reqs) in pending.iter_mut().enumerate() {
+            if let Some(req) = reqs.first().copied() {
                 if h.push_req(core, req).is_ok() {
-                    pending[core].remove(0);
+                    reqs.remove(0);
                 }
             }
         }
