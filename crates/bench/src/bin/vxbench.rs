@@ -33,6 +33,7 @@ use vortex_bench::Table;
 use vortex_core::GpuConfig;
 use vortex_gfx::RasterBench;
 use vortex_kernels::{Benchmark, Bfs, FilterKind, Nearn, Sgemm, TexBench};
+use vortex_obs::Value;
 
 /// Allowed throughput regression vs the checked-in baseline (CI gate).
 const REGRESSION_TOLERANCE: f64 = 0.30;
@@ -182,9 +183,8 @@ fn measure_mc(name: &'static str, bench: &dyn Benchmark) -> Measurement {
 }
 
 fn to_json(mode: &str, results: &[Measurement]) -> String {
-    // Hand-rolled, line-oriented JSON: one workload object per line so the
-    // (dependency-free) baseline reader in `--check` can parse it with
-    // string operations alone. Keep the field order stable.
+    // Hand-rolled JSON, one workload object per line so baselines diff
+    // well in review. Keep the field order stable.
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"vxbench\",\n");
@@ -204,42 +204,38 @@ fn to_json(mode: &str, results: &[Measurement]) -> String {
     out
 }
 
-/// Extracts the `"mode"` a baseline was recorded in. Quick-suite and
-/// full-suite cps are *not* comparable (short runs do not amortize
-/// setup), so `--check` refuses to compare across modes.
-fn parse_baseline_mode(json: &str) -> Option<String> {
-    json.lines()
-        .find(|l| l.trim_start().starts_with("\"mode\""))
-        .and_then(|l| l.split(':').nth(1))
-        .map(|v| v.trim().trim_matches(',').trim_matches('"').to_string())
+/// A baseline produced by [`to_json`].
+struct Baseline {
+    /// The suite it was recorded with. Quick-suite and full-suite cps are
+    /// *not* comparable (short runs do not amortize setup), so `--check`
+    /// refuses to compare across modes.
+    mode: String,
+    /// Each workload's gated throughput: (name, cps).
+    workloads: Vec<(String, f64)>,
 }
 
-fn json_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
-/// One workload's gated numbers from a [`to_json`] baseline.
-struct BaselineEntry {
-    name: String,
-    cps: f64,
-}
-
-/// Extracts the per-workload entries from a baseline produced by
-/// [`to_json`].
-fn parse_baseline(json: &str) -> Vec<BaselineEntry> {
-    json.lines()
-        .filter(|l| l.contains("\"name\"") && l.contains("\"cps\""))
-        .filter_map(|l| {
-            Some(BaselineEntry {
-                name: json_field(l, "name")?,
-                cps: json_field(l, "cps")?.parse().ok()?,
-            })
+/// Reads a baseline. Baselines without a `"mode"` predate quick mode and
+/// were recorded with the full suite; keys other than `name` and `cps`
+/// (older baselines carry more) are ignored.
+fn parse_baseline(json: &str) -> Result<Baseline, String> {
+    let doc = Value::parse(json)?;
+    let mode = doc.get("mode").and_then(Value::as_str).unwrap_or("full");
+    let workloads = doc
+        .get("workloads")
+        .and_then(Value::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|w| {
+            Some((
+                w.get("name")?.as_str()?.to_string(),
+                w.get("cps")?.as_num()?,
+            ))
         })
-        .collect()
+        .collect();
+    Ok(Baseline {
+        mode: mode.to_string(),
+        workloads,
+    })
 }
 
 fn main() {
@@ -354,12 +350,15 @@ fn main() {
             eprintln!("cannot read baseline {path}: {e}");
             std::process::exit(1);
         });
-        let baseline = parse_baseline(&json);
-        if baseline.is_empty() {
+        let baseline = parse_baseline(&json).unwrap_or_else(|e| {
+            eprintln!("baseline {path} is not valid JSON: {e}");
+            std::process::exit(1);
+        });
+        if baseline.workloads.is_empty() {
             eprintln!("baseline {path} holds no workloads — malformed?");
             std::process::exit(1);
         }
-        let base_mode = parse_baseline_mode(&json).unwrap_or_else(|| "full".into());
+        let base_mode = &baseline.mode;
         if base_mode != mode {
             eprintln!(
                 "baseline {path} was recorded in {base_mode} mode but this is a \
@@ -370,17 +369,16 @@ fn main() {
             std::process::exit(1);
         }
         let mut failed = false;
-        for entry in &baseline {
-            let name = &entry.name;
+        for (name, base_cps) in &baseline.workloads {
             let Some(m) = results.iter().find(|m| m.name == name.as_str()) else {
                 continue; // baseline workload not in this suite selection
             };
-            let floor = entry.cps * (1.0 - REGRESSION_TOLERANCE);
+            let floor = base_cps * (1.0 - REGRESSION_TOLERANCE);
             let verdict = if m.cps >= floor { "ok" } else { "REGRESSED" };
             eprintln!(
                 "  {name}: {:.2} Mcps vs baseline {:.2} Mcps (floor {:.2}) — {verdict}",
                 m.cps / 1e6,
-                entry.cps / 1e6,
+                base_cps / 1e6,
                 floor / 1e6
             );
             failed |= m.cps < floor;
@@ -392,5 +390,48 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reads_the_checked_in_baseline() {
+        let baseline =
+            parse_baseline(include_str!("../../../../BENCH_PR10.json")).expect("baseline parses");
+        assert_eq!(baseline.mode, "full");
+        let expected = [
+            ("sgemm", 2461335.0),
+            ("bfs", 5894794.0),
+            ("nearn", 3897460.0),
+            ("texture", 3098253.0),
+            ("sgemm-mc16", 246874.0),
+            ("bfs-mc16", 279129.0),
+            ("raster-mc16", 147627.0),
+        ];
+        let got: Vec<(&str, f64)> = baseline
+            .workloads
+            .iter()
+            .map(|(name, cps)| (name.as_str(), *cps))
+            .collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn reads_back_what_it_writes() {
+        let m = Measurement {
+            name: "sgemm",
+            cycles: 81970,
+            instrs: 53337,
+            cycles_skipped: 6774,
+            skip_events: 110,
+            wall_ms: 33.303,
+            cps: 2461335.4,
+        };
+        let baseline = parse_baseline(&to_json("quick", &[m])).expect("own output parses");
+        assert_eq!(baseline.mode, "quick");
+        assert_eq!(baseline.workloads, [("sgemm".to_string(), 2461335.0)]);
     }
 }

@@ -242,7 +242,7 @@ fn main() {
     config.core.dcache.ports = ports;
     // Clustered topology: `--clusters N` splits the cores into N equal
     // clusters and `--l2`/`--l3` hang the default shared levels behind
-    // them — one commit shard per cluster (DESIGN.md §15).
+    // them (DESIGN.md §15).
     if let Some(n) = clusters {
         if cores % n != 0 {
             eprintln!("vxsim: --clusters {n} must divide --cores {cores}");

@@ -42,6 +42,9 @@ use vortex_isa::{decode, CsrSrc, Instr, Reg};
 use vortex_mem::{Cache, MemReq, MemRsp, Ram, RamView, SharedMem, Tag, WriteLog};
 use vortex_tex::{TexRequest, TexUnit};
 
+/// Tag bit distinguishing I-cache from D-cache fills above the L1s.
+const ICACHE_BIT: Tag = 1 << 61;
+
 /// A pending arithmetic completion waiting for the writeback port.
 #[derive(Debug)]
 struct Completion {
@@ -1420,8 +1423,22 @@ impl Core {
 
     // --- Memory-side plumbing for the GPU level -------------------------
 
-    /// Delivers a fill response to the right L1.
-    pub fn push_l1_mem_rsp(&mut self, rsp: MemRsp, icache: bool) {
+    /// Forwards this core's L1 miss traffic to `push`, the next level's
+    /// handshake: I-cache misses first, then D-cache misses, each stream
+    /// oldest first until `push` refuses one. I-cache requests carry a
+    /// tag bit that routes their fills back in [`Core::push_l1_mem_rsp`].
+    pub fn send_l1_misses(&mut self, mut push: impl FnMut(MemReq) -> Result<(), MemReq>) {
+        self.icache.forward_mem_reqs(|req| {
+            push(MemReq {
+                tag: req.tag | ICACHE_BIT,
+                ..req
+            })
+        });
+        self.dcache.forward_mem_reqs(push);
+    }
+
+    /// Delivers a fill response to the L1 that asked for it.
+    pub fn push_l1_mem_rsp(&mut self, rsp: MemRsp) {
         // A fill is exactly the external event a memory-stalled park
         // waits for: replay the deferred span before accepting it.
         self.unpark();
@@ -1429,54 +1446,13 @@ impl Core {
         // reach it — but if one ever does, resume full ticking so the fill
         // is processed rather than stranded.
         self.drained = false;
-        if icache {
-            self.icache.push_mem_rsp(rsp);
+        if rsp.tag & ICACHE_BIT != 0 {
+            self.icache.push_mem_rsp(MemRsp {
+                tag: rsp.tag & !ICACHE_BIT,
+            });
         } else {
             self.dcache.push_mem_rsp(rsp);
         }
-    }
-
-    /// Peeks the next I-cache memory request without removing it.
-    pub fn peek_icache_mem_req(&self) -> Option<&MemReq> {
-        self.icache.peek_mem_req()
-    }
-
-    /// Peeks the next D-cache memory request without removing it.
-    pub fn peek_dcache_mem_req(&self) -> Option<&MemReq> {
-        self.dcache.peek_mem_req()
-    }
-
-    /// Pops the next I-cache memory request.
-    pub fn pop_icache_mem_req(&mut self) -> Option<MemReq> {
-        self.icache.pop_mem_req()
-    }
-
-    /// Pops the next D-cache memory request.
-    pub fn pop_dcache_mem_req(&mut self) -> Option<MemReq> {
-        self.dcache.pop_mem_req()
-    }
-
-    /// Queued I-cache memory requests (for batched draining).
-    pub fn icache_mem_req_count(&self) -> usize {
-        self.icache.mem_req_count()
-    }
-
-    /// Queued D-cache memory requests (for batched draining).
-    pub fn dcache_mem_req_count(&self) -> usize {
-        self.dcache.mem_req_count()
-    }
-
-    /// Removes and yields the `n` oldest I-cache memory requests in one
-    /// batched transfer — the caller has already secured `n` downstream
-    /// slots, so no per-request handshake is needed.
-    pub fn drain_icache_mem_reqs(&mut self, n: usize) -> impl Iterator<Item = MemReq> + '_ {
-        self.icache.drain_mem_reqs(n)
-    }
-
-    /// Removes and yields the `n` oldest D-cache memory requests in one
-    /// batched transfer.
-    pub fn drain_dcache_mem_reqs(&mut self, n: usize) -> impl Iterator<Item = MemReq> + '_ {
-        self.dcache.drain_mem_reqs(n)
     }
 
     /// Drains this core's pending global-barrier arrivals.

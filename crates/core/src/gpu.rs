@@ -14,8 +14,10 @@
 //!    functional [`Ram`], buffering its stores into a private write log
 //!    (its L1s, queues and fault plans are private already);
 //! 2. **commit** — in fixed core-id order: write logs apply to RAM, L1
-//!    miss traffic drains into the shared hierarchy, the hierarchy ticks,
-//!    and responses / global-barrier releases distribute back.
+//!    miss traffic crosses into the shared hierarchy one request at a
+//!    time through the same valid/ready handshake every level uses
+//!    (flat and clustered topologies alike), the hierarchy ticks, and
+//!    responses / global-barrier releases distribute back.
 //!
 //! The write log is simulated semantics, not a threading device: it fixes
 //! the point at which a store becomes visible to other cores — the end
@@ -30,11 +32,8 @@ use crate::error::{HangReport, SimError};
 use crate::stats::GpuStats;
 use crate::telemetry::{Telemetry, TimeSeries};
 use vortex_faults::FaultConfig;
-use vortex_mem::hierarchy::{ClusterShard, HierarchyConfig, MemHierarchy};
-use vortex_mem::{MemReq, MemRsp, Ram, Tag};
-
-/// Tag bit distinguishing I-cache from D-cache fills above the L1s.
-const ICACHE_BIT: Tag = 1 << 61;
+use vortex_mem::hierarchy::{HierarchyConfig, MemHierarchy};
+use vortex_mem::Ram;
 
 /// The Vortex processor: cores + memory system + global barriers.
 #[derive(Debug)]
@@ -64,63 +63,6 @@ pub struct Gpu {
     cycles_skipped: u64,
     /// Number of fast-forward jumps taken (same host-only status).
     skip_events: u64,
-}
-
-/// Moves one core's L1 miss traffic into its cluster shard, I-cache
-/// stream first. Shard admission is a pure capacity handshake (no fault
-/// gate), so both streams transfer as batches against secured space.
-fn drain_core_into_shard(shard: &mut ClusterShard, core: &mut Core, port: usize) {
-    let n = core.icache_mem_req_count().min(shard.req_space());
-    for req in core.drain_icache_mem_reqs(n) {
-        shard.admit(
-            port,
-            MemReq {
-                tag: req.tag | ICACHE_BIT,
-                ..req
-            },
-        );
-    }
-    let n = core.dcache_mem_req_count().min(shard.req_space());
-    for req in core.drain_dcache_mem_reqs(n) {
-        shard.admit(port, req);
-    }
-}
-
-/// Delivers a shard's routed fill responses to the owning L1s.
-fn deliver_shard_rsps(shard: &mut ClusterShard, core: &mut Core, port: usize) {
-    while let Some(rsp) = shard.pop_rsp(port) {
-        let icache = rsp.tag & ICACHE_BIT != 0;
-        core.push_l1_mem_rsp(
-            MemRsp {
-                tag: rsp.tag & !ICACHE_BIT,
-            },
-            icache,
-        );
-    }
-}
-
-/// One shard's slice of the commit phase: drain its cores' L1 miss
-/// traffic in, tick the shard, deliver its routed responses back — all
-/// in ascending core-id order. The responses delivered here are the
-/// ones this tick produced; the merge that follows only feeds fills
-/// into the shard's bank queues, which surface as responses on the
-/// *next* tick, so delivering before the merge is order-equivalent to
-/// the historical tick-then-deliver sequence. A quiescent shard with no
-/// incoming traffic costs one branch: its tick would change no state
-/// and its response queues are provably empty.
-fn commit_shard(shard: &mut ClusterShard, cores: &mut [Core]) {
-    let range = shard.core_range();
-    let cores = &mut cores[range];
-    for (port, core) in cores.iter_mut().enumerate() {
-        drain_core_into_shard(shard, core, port);
-    }
-    if shard.quiet() {
-        return;
-    }
-    shard.tick();
-    for (port, core) in cores.iter_mut().enumerate() {
-        deliver_shard_rsps(shard, core, port);
-    }
 }
 
 impl Gpu {
@@ -227,11 +169,12 @@ impl Gpu {
         Ok(())
     }
 
-    /// The commit phase: write logs apply to RAM, L1 miss traffic drains
-    /// into the hierarchy, the hierarchy ticks, fill responses and
-    /// global-barrier releases distribute back. Every loop walks cores in
-    /// ascending id order — that fixed order is the whole determinism
-    /// argument, so nothing here may depend on anything else.
+    /// The commit phase: write logs apply to RAM, each core's L1 miss
+    /// traffic crosses into the hierarchy through the per-request
+    /// handshake, the hierarchy ticks, fill responses and global-barrier
+    /// releases distribute back. Every loop walks cores in ascending id
+    /// order — that fixed order is the whole determinism argument, so
+    /// nothing here may depend on anything else.
     fn commit(&mut self) {
         let Self {
             config,
@@ -247,14 +190,14 @@ impl Gpu {
             core.commit_stores(ram);
         }
 
-        // L1 miss traffic in, shard/DRAM ticks, fill responses out.
-        if hierarchy.num_shards() == 0 {
-            Self::commit_flat(cores, hierarchy);
-        } else {
-            for si in 0..hierarchy.num_shards() {
-                commit_shard(hierarchy.shard_mut(si), cores);
+        for (cid, core) in cores.iter_mut().enumerate() {
+            core.send_l1_misses(|req| hierarchy.push_req(cid, req));
+        }
+        hierarchy.tick();
+        for (cid, core) in cores.iter_mut().enumerate() {
+            while let Some(rsp) = hierarchy.pop_rsp(cid) {
+                core.push_l1_mem_rsp(rsp);
             }
-            hierarchy.merge();
         }
 
         Self::commit_barriers(
@@ -263,73 +206,6 @@ impl Gpu {
             global_barriers,
             release_scratch,
         );
-    }
-
-    /// The flat-topology commit: L1 miss traffic drains straight into
-    /// the DRAM input queue — one batched transfer when the queue
-    /// guarantees capacity, the per-request handshake when it is full or
-    /// a fault plan draws a decision per push — then the DRAM ticks and
-    /// routed responses deliver back to the owning L1s.
-    fn commit_flat(cores: &mut [Core], hierarchy: &mut MemHierarchy) {
-        let mut space = hierarchy.flat_space();
-        for (cid, core) in cores.iter_mut().enumerate() {
-            if space > 0 {
-                let n = core.icache_mem_req_count().min(space);
-                for req in core.drain_icache_mem_reqs(n) {
-                    hierarchy.admit_flat(
-                        cid,
-                        MemReq {
-                            tag: req.tag | ICACHE_BIT,
-                            ..req
-                        },
-                    );
-                }
-                space -= n;
-                let n = core.dcache_mem_req_count().min(space);
-                for req in core.drain_dcache_mem_reqs(n) {
-                    hierarchy.admit_flat(cid, req);
-                }
-                space -= n;
-            } else {
-                // No guaranteed capacity: the queue is full (every push
-                // below fails cheaply, as the batch would have) or a
-                // fault plan gates each handshake (each push must draw
-                // its own decision).
-                while let Some(req) = core.peek_icache_mem_req().copied() {
-                    let wrapped = MemReq {
-                        tag: req.tag | ICACHE_BIT,
-                        ..req
-                    };
-                    if hierarchy.push_req(cid, wrapped).is_ok() {
-                        core.pop_icache_mem_req();
-                    } else {
-                        break;
-                    }
-                }
-                while let Some(req) = core.peek_dcache_mem_req().copied() {
-                    if hierarchy.push_req(cid, req).is_ok() {
-                        core.pop_dcache_mem_req();
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-
-        hierarchy.merge();
-
-        // Fill responses → owning L1.
-        for (cid, core) in cores.iter_mut().enumerate() {
-            while let Some(rsp) = hierarchy.pop_rsp(cid) {
-                let icache = rsp.tag & ICACHE_BIT != 0;
-                core.push_l1_mem_rsp(
-                    MemRsp {
-                        tag: rsp.tag & !ICACHE_BIT,
-                    },
-                    icache,
-                );
-            }
-        }
     }
 
     /// Global barriers (barrier ids with the MSB set): participants are

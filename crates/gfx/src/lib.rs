@@ -26,7 +26,7 @@
 //! 4. **[`pipeline::Renderer`]** orchestrates the full frame: buffer
 //!    upload, kernel launch, framebuffer readback.
 //!
-//! [`bench`] packages a textured depth-tested scene as a
+//! [`bench`](mod@bench) packages a textured depth-tested scene as a
 //! `vortex_kernels::Benchmark` (the `raster-mc16` vxbench tier), with the
 //! host reference as its validation oracle.
 

@@ -235,7 +235,7 @@ impl Renderer {
     }
 
     /// [`Renderer::draw_host`] that also returns the frame's per-tile
-    /// [`RasterProfile`] (tris binned, fragments covered/shaded, texture
+    /// [`RasterProfile`](raster::RasterProfile) (tris binned, fragments covered/shaded, texture
     /// samples) for observability exports.
     pub fn draw_host_profiled(
         &self,

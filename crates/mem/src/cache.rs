@@ -597,12 +597,7 @@ impl Cache {
             && self.flush_busy == 0
             && self.memq.is_empty()
             && self.responses.is_empty()
-            && self.banks.iter().all(|b| {
-                b.input.is_empty()
-                    && b.stage.iter().all(Option::is_none)
-                    && b.fills.is_empty()
-                    && b.replays.is_empty()
-            })
+            && !self.banks.iter().any(Bank::tick_work)
     }
 
     /// The bank selector: offers `reqs` (one per active lane) to the banks,
@@ -866,25 +861,16 @@ impl Cache {
         self.memq.pop()
     }
 
-    /// Peeks the outgoing memory request queue.
-    pub fn peek_mem_req(&self) -> Option<&MemReq> {
-        self.memq.front()
-    }
-
-    /// Outgoing memory requests currently queued.
-    pub fn mem_req_count(&self) -> usize {
-        self.memq.len()
-    }
-
-    /// Removes and yields the `n` oldest outgoing memory requests in one
-    /// batched transfer — equivalent to `n` `pop_mem_req` calls. Callers
-    /// size `n` against the next level's guaranteed admission count so
-    /// the per-request peek/pop handshake disappears from the drain path.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds [`Cache::mem_req_count`].
-    pub fn drain_mem_reqs(&mut self, n: usize) -> impl Iterator<Item = MemReq> + '_ {
-        self.memq.drain_front(n)
+    /// Hands queued memory requests, oldest first, to the next level's
+    /// `push` handshake until it refuses one; the refused request stays
+    /// queued for a retry next cycle.
+    pub fn forward_mem_reqs(&mut self, mut push: impl FnMut(MemReq) -> Result<(), MemReq>) {
+        while let Some(&req) = self.memq.front() {
+            if push(req).is_err() {
+                break;
+            }
+            self.memq.pop();
+        }
     }
 
     /// Delivers a memory fill response (tag = line address). An attached

@@ -101,13 +101,6 @@ impl Dram {
         !self.input.is_full()
     }
 
-    /// Free input-queue slots. With no fault plan attached this many
-    /// pushes are guaranteed to succeed back to back, so callers can
-    /// batch-drain upstream queues without per-request handshakes.
-    pub fn space(&self) -> usize {
-        self.input.space()
-    }
-
     /// Advances one cycle: starts up to `channels` queued requests and
     /// retires the ones whose latency elapsed (reads produce responses;
     /// writes complete silently).
@@ -167,14 +160,6 @@ impl Dram {
     /// `true` when no request is queued or in flight.
     pub fn is_idle(&self) -> bool {
         self.input.is_empty() && self.in_flight.is_empty() && self.responses.is_empty()
-    }
-
-    /// `true` while a fault plan is attached. The plan draws a
-    /// `stall_dram` decision on every tick, so a fault-armed controller
-    /// is never fast-forward idle (the draw audit chain must advance
-    /// cycle by cycle).
-    pub fn has_fault(&self) -> bool {
-        self.fault.is_some()
     }
 
     /// The earliest cycle whose tick would do more than advance the

@@ -116,17 +116,6 @@ impl<T> Queue<T> {
         self.items.iter()
     }
 
-    /// Removes and yields the `n` oldest elements in one slice-based
-    /// transfer — the batched form of `n` `pop` calls. The handshake is
-    /// the *push* side; draining is always ready, so no fault gate
-    /// applies here.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds the current occupancy.
-    pub fn drain_front(&mut self, n: usize) -> impl Iterator<Item = T> + '_ {
-        self.items.drain(..n)
-    }
-
     /// Removes all elements.
     pub fn clear(&mut self) {
         self.items.clear();
@@ -163,50 +152,6 @@ impl<T: Snap> Queue<T> {
         }
         self.fault = Option::<FaultPlan>::load(r)?;
         Ok(())
-    }
-}
-
-/// A single-entry pipeline register with elastic semantics: a stage that
-/// holds at most one transaction.
-#[derive(Debug, Clone, Default)]
-pub struct Slot<T> {
-    value: Option<T>,
-}
-
-impl<T> Slot<T> {
-    /// Creates an empty slot.
-    pub fn new() -> Self {
-        Self { value: None }
-    }
-
-    /// Attempts to fill the slot; returns `Err(value)` if occupied.
-    pub fn push(&mut self, value: T) -> Result<(), T> {
-        if self.value.is_some() {
-            Err(value)
-        } else {
-            self.value = Some(value);
-            Ok(())
-        }
-    }
-
-    /// Takes the held transaction, emptying the slot.
-    pub fn take(&mut self) -> Option<T> {
-        self.value.take()
-    }
-
-    /// Peeks at the held transaction.
-    pub fn peek(&self) -> Option<&T> {
-        self.value.as_ref()
-    }
-
-    /// `true` when occupied.
-    pub fn is_full(&self) -> bool {
-        self.value.is_some()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.value.is_none()
     }
 }
 
@@ -262,15 +207,5 @@ mod tests {
             q.pop();
         }
         assert!(accepted > 0 && refused > 0, "50% gate must both pass and stall");
-    }
-
-    #[test]
-    fn slot_holds_one() {
-        let mut s = Slot::new();
-        assert!(s.push(7).is_ok());
-        assert_eq!(s.push(8), Err(8));
-        assert_eq!(s.peek(), Some(&7));
-        assert_eq!(s.take(), Some(7));
-        assert!(s.is_empty());
     }
 }

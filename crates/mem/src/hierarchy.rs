@@ -10,14 +10,16 @@
 //! `(source port, original tag)` so responses route back even when two
 //! cores fill the same line address concurrently.
 //!
-//! # Sharding
+//! # One handshake
 //!
-//! The hierarchy is split along the cluster boundary: each per-cluster L2,
-//! together with its slice of core ports, lives in a [`ClusterShard`] that
-//! ticks on its own: a shard touches only its L2 and its cores' ports.
-//! Everything below the L2s — the optional L3, the DRAM and the routing
-//! tables that span clusters — is advanced by [`MemHierarchy::merge`],
-//! which visits shards in ascending cluster order.
+//! Traffic crosses every level boundary the same way: the upstream cache's
+//! memory queue hands requests, oldest first, to the downstream level's
+//! `push` until it refuses one ([`Cache::forward_mem_reqs`]). A shared
+//! level refuses when its admission buffer is full; the DRAM refuses when
+//! its input queue is full or its fault plan stalls the handshake. Core
+//! ports enter the same way through [`MemHierarchy::push_req`], and
+//! [`MemHierarchy::tick`] moves everything below them: each cluster's L2,
+//! in ascending cluster order, then the L3, then the DRAM.
 
 use crate::cache::{Cache, CacheConfig, CacheOccupancy};
 use crate::dram::{Dram, DramConfig};
@@ -204,6 +206,7 @@ struct SharedLevel {
     rsp_out: Vec<VecDeque<MemRsp>>,
     /// Reservation for each `rsp_out` queue; the high-water mark is
     /// audited against it by the allocation tests.
+    #[cfg_attr(not(test), allow(dead_code))]
     rsp_reserved: usize,
     /// Most responses ever queued on one port (host diagnostic, not state).
     rsp_high_water: usize,
@@ -234,17 +237,12 @@ impl SharedLevel {
         }
     }
 
-    /// Free admission slots. With no fault gate on this handshake (the
-    /// bound is pure capacity), this many [`SharedLevel::admit`] calls are
-    /// guaranteed to succeed back to back.
-    fn space(&self) -> usize {
-        self.pending_cap - self.pending.len()
-    }
-
-    /// Admits an upstream request unconditionally; the caller has checked
-    /// [`SharedLevel::space`].
-    fn admit(&mut self, port: usize, req: MemReq) {
-        debug_assert!(self.pending.len() < self.pending_cap);
+    /// Admits an upstream request if the pending buffer has room. The
+    /// bound is pure capacity: this handshake has no fault gate.
+    fn push_req(&mut self, port: usize, req: MemReq) -> Result<(), MemReq> {
+        if self.pending.len() >= self.pending_cap {
+            return Err(req);
+        }
         // Writes never produce responses, so don't record a routing entry
         // for them (it would never be reclaimed).
         let tag = if req.write {
@@ -252,23 +250,17 @@ impl SharedLevel {
         } else {
             self.tags.wrap(port, req.tag)
         };
-        self.pending.push(MemReq {
-            tag,
-            addr: req.addr,
-            write: req.write,
-        });
-    }
-
-    /// Admits an upstream request if the pending buffer has room.
-    fn push_req(&mut self, port: usize, req: MemReq) -> Result<(), MemReq> {
-        if self.pending.len() >= self.pending_cap {
-            return Err(req);
-        }
-        self.admit(port, req);
+        self.pending.push(MemReq { tag, ..req });
         Ok(())
     }
 
+    /// Advances the level one cycle. A quiescent level (see
+    /// [`SharedLevel::ff_idle`]) returns at once: its tick would change
+    /// no state and draw no fault decision.
     fn tick(&mut self) {
+        if self.ff_idle() {
+            return;
+        }
         self.cache.offer(&mut self.pending);
         self.cache.tick();
         while let Some(rsp) = self.cache.pop_rsp() {
@@ -328,134 +320,41 @@ impl SharedLevel {
     }
 }
 
-/// One independently tickable slice of the hierarchy: a per-cluster shared
-/// L2 plus the core ports of that cluster.
-///
-/// Shards have no references into each other or into the remainder below
-/// them (L3/DRAM). Traffic crossing the cluster boundary in either
-/// direction only moves during [`MemHierarchy::merge`].
-#[derive(Debug)]
-pub struct ClusterShard {
-    level: SharedLevel,
-    core_lo: usize,
-    core_hi: usize,
-}
-
-impl ClusterShard {
-    /// Global ids of the cores whose L1 miss traffic this shard carries.
-    /// Core `core_lo + p` talks on upstream port `p`.
-    pub fn core_range(&self) -> std::ops::Range<usize> {
-        self.core_lo..self.core_hi
+/// Pushes one request into the DRAM input queue, re-tagged for routing
+/// back to `port` — the one DRAM handshake for core, L2 and L3 traffic.
+/// Capacity is checked before a routing tag is taken: a full queue with
+/// an empty free list would otherwise grow the (serialized) slot table.
+fn push_dram(dram: &mut Dram, tags: &mut TagTable, port: usize, req: MemReq) -> Result<(), MemReq> {
+    if !dram.can_accept() {
+        return Err(req);
     }
-
-    /// Free admission slots; this many [`ClusterShard::admit`] calls are
-    /// guaranteed to succeed (the admission handshake has no fault gate).
-    pub fn req_space(&self) -> usize {
-        self.level.space()
-    }
-
-    /// Admits one L1 miss request on upstream port `port` (0-based within
-    /// the cluster). The caller has checked [`ClusterShard::req_space`].
-    pub fn admit(&mut self, port: usize, req: MemReq) {
-        self.level.admit(port, req);
-    }
-
-    /// Fallible form of [`ClusterShard::admit`] for per-request callers.
-    pub fn push_req(&mut self, port: usize, req: MemReq) -> Result<(), MemReq> {
-        self.level.push_req(port, req)
-    }
-
-    /// Drains one response for upstream port `port`.
-    pub fn pop_rsp(&mut self, port: usize) -> Option<MemRsp> {
-        self.level.rsp_out[port].pop_front()
-    }
-
-    /// `true` when a tick would change no state and draw no fault
-    /// decision — quiescent shards cost their caller one branch.
-    pub fn quiet(&self) -> bool {
-        self.level.ff_idle()
-    }
-
-    /// Advances the shard one cycle: runs the L2. Miss traffic
-    /// accumulates in the L2's memory queue until the next
-    /// [`MemHierarchy::merge`].
-    pub fn tick(&mut self) {
-        self.level.tick();
-    }
-
-    /// Times the shard's tag table grew past its reservation (allocation
-    /// audit; zero on fault-free runs).
-    pub fn tag_grows(&self) -> u64 {
-        self.level.tags.grows
-    }
-
-    /// Most responses ever queued on one upstream port (allocation audit;
-    /// must stay at or below [`ClusterShard::rsp_reserved`]).
-    pub fn rsp_high_water(&self) -> usize {
-        self.level.rsp_high_water
-    }
-
-    /// Per-port response-queue reservation.
-    pub fn rsp_reserved(&self) -> usize {
-        self.level.rsp_reserved
-    }
-}
-
-/// Moves a cache's miss traffic into the DRAM input queue, re-tagged for
-/// routing back to `port`. Fault-free, both queues hand out guaranteed
-/// capacity, so the transfer is one batched drain; with a DRAM fault plan
-/// attached every push must draw its own handshake decision, so the
-/// per-request fallback preserves the exact decision stream.
-fn drain_to_dram(dram: &mut Dram, tags: &mut TagTable, cache: &mut Cache, port: usize) {
-    if dram.has_fault() {
-        while let Some(req) = cache.peek_mem_req().copied() {
-            if !dram.can_accept() {
-                break;
-            }
-            let tag = if req.write { 0 } else { tags.wrap(port, req.tag) };
-            match dram.push_req(MemReq {
-                tag,
-                addr: req.addr,
-                write: req.write,
-            }) {
-                Ok(()) => {
-                    cache.pop_mem_req();
-                }
-                Err(_) => {
-                    // Injected handshake stall: reclaim the tag.
-                    if !req.write {
-                        tags.unwrap(tag);
-                    }
-                    break;
-                }
-            }
+    let tag = if req.write {
+        0
+    } else {
+        tags.wrap(port, req.tag)
+    };
+    dram.push_req(MemReq { tag, ..req }).map_err(|_| {
+        // A fault plan stalled the handshake: hand the tag back, or it
+        // leaks and the hierarchy never reads as idle again.
+        if !req.write {
+            tags.unwrap(tag);
         }
-        return;
-    }
-    let n = cache.mem_req_count().min(dram.space());
-    for req in cache.drain_mem_reqs(n) {
-        let tag = if req.write { 0 } else { tags.wrap(port, req.tag) };
-        let pushed = dram.push_req(MemReq {
-            tag,
-            addr: req.addr,
-            write: req.write,
-        });
-        debug_assert!(pushed.is_ok(), "space() guaranteed this push");
-        let _ = pushed;
-    }
+        req
+    })
 }
 
 /// The memory system above the per-core L1 caches.
 #[derive(Debug)]
 pub struct MemHierarchy {
     config: HierarchyConfig,
-    /// Per-cluster shards (empty when no L2 is configured).
-    shards: Vec<ClusterShard>,
+    /// Per-cluster shared L2s (empty when none is configured). Core `c`
+    /// talks to L2 `c / cores_per_cluster` on port `c % cores_per_cluster`.
+    l2s: Vec<SharedLevel>,
     l3: Option<SharedLevel>,
     dram: Dram,
     dram_tags: TagTable,
     /// Per-core response queues (flat topology only; with L2s configured,
-    /// responses ride the shards' port queues instead).
+    /// responses ride the L2s' port queues instead).
     core_rsp: Vec<VecDeque<MemRsp>>,
 }
 
@@ -467,17 +366,9 @@ impl MemHierarchy {
     pub fn new(config: HierarchyConfig) -> Self {
         assert!(config.cores_per_cluster > 0, "cluster size must be non-zero");
         let clusters = config.num_clusters();
-        let shards = match &config.l2 {
+        let l2s = match &config.l2 {
             Some(cfg) => (0..clusters)
-                .map(|ci| {
-                    let core_lo = ci * config.cores_per_cluster;
-                    let core_hi = (core_lo + config.cores_per_cluster).min(config.num_cores);
-                    ClusterShard {
-                        level: SharedLevel::new(*cfg, config.cores_per_cluster),
-                        core_lo,
-                        core_hi,
-                    }
-                })
+                .map(|_| SharedLevel::new(*cfg, config.cores_per_cluster))
                 .collect(),
             None => Vec::new(),
         };
@@ -491,210 +382,116 @@ impl MemHierarchy {
             dram: Dram::new(dcfg),
             dram_tags: TagTable::with_capacity(dram_cap),
             core_rsp: (0..config.num_cores).map(|_| VecDeque::new()).collect(),
-            shards,
+            l2s,
             l3,
             config,
         }
     }
 
-    /// Number of cluster shards (0 on a flat hierarchy).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// One shard, for the commit phase to drive.
-    pub fn shard_mut(&mut self, i: usize) -> &mut ClusterShard {
-        &mut self.shards[i]
-    }
-
-    /// Guaranteed flat-path admissions this cycle: free DRAM input slots,
-    /// or 0 when the topology has L2s (use the shards) or a DRAM fault
-    /// plan gates every handshake individually (use
-    /// [`MemHierarchy::push_req`] per request).
-    pub fn flat_space(&self) -> usize {
-        if !self.shards.is_empty() || self.dram.has_fault() {
-            0
-        } else {
-            self.dram.space()
-        }
-    }
-
-    /// Admits one request straight to DRAM; the caller has checked
-    /// [`MemHierarchy::flat_space`].
-    pub fn admit_flat(&mut self, core: usize, req: MemReq) {
-        let tag = if req.write {
-            0
-        } else {
-            self.dram_tags.wrap(core, req.tag)
-        };
-        let pushed = self.dram.push_req(MemReq {
-            tag,
-            addr: req.addr,
-            write: req.write,
-        });
-        debug_assert!(pushed.is_ok(), "flat_space() guaranteed this push");
-        let _ = pushed;
-    }
-
-    /// Pushes one L1 miss-traffic request from `core`. Fails on
+    /// Pushes one L1 miss-traffic request from `core` into its cluster's
+    /// L2, or straight into the DRAM on a flat hierarchy. Fails on
     /// backpressure; the core retries next cycle.
     ///
     /// # Panics
     /// Panics if `core` is out of range.
     pub fn push_req(&mut self, core: usize, req: MemReq) -> Result<(), MemReq> {
         assert!(core < self.config.num_cores, "core id out of range");
-        if self.shards.is_empty() {
-            // Straight to DRAM (re-tagged for routing).
-            if !self.dram.can_accept() {
-                return Err(req);
-            }
-            let tag = if req.write {
-                0
-            } else {
-                self.dram_tags.wrap(core, req.tag)
-            };
-            match self.dram.push_req(MemReq {
-                tag,
-                addr: req.addr,
-                write: req.write,
-            }) {
-                Ok(()) => Ok(()),
-                Err(r) => {
-                    // The push can fail even after `can_accept` when a fault
-                    // plan stalls the handshake: reclaim the routing tag or
-                    // it leaks and the hierarchy never reads as idle again.
-                    if !req.write {
-                        self.dram_tags.unwrap(tag);
-                    }
-                    Err(MemReq {
-                        tag: req.tag,
-                        addr: r.addr,
-                        write: r.write,
-                    })
-                }
-            }
-        } else {
-            let cluster = core / self.config.cores_per_cluster;
-            let port = core % self.config.cores_per_cluster;
-            self.shards[cluster].push_req(port, req)
+        if self.l2s.is_empty() {
+            return push_dram(&mut self.dram, &mut self.dram_tags, core, req);
         }
+        let cpc = self.config.cores_per_cluster;
+        self.l2s[core / cpc].push_req(core % cpc, req)
     }
 
     /// Pops one fill response destined for `core`.
     pub fn pop_rsp(&mut self, core: usize) -> Option<MemRsp> {
-        if self.shards.is_empty() {
-            self.core_rsp[core].pop_front()
-        } else {
-            let cluster = core / self.config.cores_per_cluster;
-            let port = core % self.config.cores_per_cluster;
-            self.shards[cluster].pop_rsp(port)
+        if self.l2s.is_empty() {
+            return self.core_rsp[core].pop_front();
         }
+        let cpc = self.config.cores_per_cluster;
+        self.l2s[core / cpc].rsp_out[core % cpc].pop_front()
     }
 
-    /// Advances the remainder below the shards by one cycle: drains each
-    /// shard's L2 miss traffic downstream (ascending cluster order), runs
-    /// the L3 and the DRAM, and routes completions back up into the
-    /// shards' caches. Callers tick the shards first, then merge;
-    /// [`MemHierarchy::tick`] packages that sequence.
-    pub fn merge(&mut self) {
+    /// Advances every shared level and the DRAM by one cycle: each L2
+    /// ticks and forwards its misses to the L3 (or DRAM) in ascending
+    /// cluster order, then the L3 ticks and forwards to the DRAM, the
+    /// DRAM ticks, and completions route back up to the level or core
+    /// port that asked.
+    pub fn tick(&mut self) {
         let num_cores = self.config.num_cores;
-        let nshards = self.shards.len();
+        let Self {
+            l2s,
+            l3,
+            dram,
+            dram_tags,
+            core_rsp,
+            ..
+        } = self;
 
-        // L2 miss traffic → L3 (or DRAM).
-        for ci in 0..nshards {
-            let cache = &mut self.shards[ci].level.cache;
-            match &mut self.l3 {
-                Some(l3) => {
-                    // Both sides of this handshake are pure capacity checks,
-                    // so the transfer batches exactly.
-                    let n = cache.mem_req_count().min(l3.space());
-                    for req in cache.drain_mem_reqs(n) {
-                        l3.admit(ci, req);
-                    }
-                }
-                None => drain_to_dram(&mut self.dram, &mut self.dram_tags, cache, num_cores + ci),
+        for (ci, l2) in l2s.iter_mut().enumerate() {
+            l2.tick();
+            match l3.as_mut() {
+                Some(l3) => l2.cache.forward_mem_reqs(|req| l3.push_req(ci, req)),
+                None => l2
+                    .cache
+                    .forward_mem_reqs(|req| push_dram(dram, dram_tags, num_cores + ci, req)),
             }
         }
-
-        // A quiescent L3's tick would be a pure no-op (see
-        // `Cache::ff_idle`), so skip it; admissions
-        // above make it non-idle, so nothing staged is ever stranded.
-        if let Some(l3) = &mut self.l3 {
-            if !l3.ff_idle() {
-                l3.tick();
-                drain_to_dram(
-                    &mut self.dram,
-                    &mut self.dram_tags,
-                    &mut l3.cache,
-                    num_cores + nshards,
-                );
-            }
+        if let Some(l3) = l3.as_mut() {
+            l3.tick();
+            let port = num_cores + l2s.len();
+            l3.cache
+                .forward_mem_reqs(|req| push_dram(dram, dram_tags, port, req));
         }
 
-        self.dram.tick();
+        dram.tick();
 
         // DRAM responses → owning level.
-        while let Some(rsp) = self.dram.pop_rsp() {
-            let Some((port, orig)) = self.dram_tags.unwrap(rsp.tag) else {
+        while let Some(rsp) = dram.pop_rsp() {
+            let Some((port, orig)) = dram_tags.unwrap(rsp.tag) else {
                 continue;
             };
+            let rsp = MemRsp { tag: orig };
             if port < num_cores {
-                self.core_rsp[port].push_back(MemRsp { tag: orig });
-            } else {
-                let idx = port - num_cores;
-                if idx < nshards {
-                    self.shards[idx].level.cache.push_mem_rsp(MemRsp { tag: orig });
-                } else if let Some(l3) = &mut self.l3 {
-                    l3.cache.push_mem_rsp(MemRsp { tag: orig });
-                }
+                core_rsp[port].push_back(rsp);
+            } else if let Some(l2) = l2s.get_mut(port - num_cores) {
+                l2.cache.push_mem_rsp(rsp);
+            } else if let Some(l3) = l3.as_mut() {
+                l3.cache.push_mem_rsp(rsp);
             }
         }
 
         // L3 responses → L2 fills.
-        if let Some(l3) = &mut self.l3 {
-            for ci in 0..nshards {
-                if l3.rsp_out[ci].is_empty() {
-                    continue;
-                }
-                let cache = &mut self.shards[ci].level.cache;
-                while let Some(rsp) = l3.rsp_out[ci].pop_front() {
-                    cache.push_mem_rsp(rsp);
+        if let Some(l3) = l3.as_mut() {
+            for (l2, out) in l2s.iter_mut().zip(&mut l3.rsp_out) {
+                while let Some(rsp) = out.pop_front() {
+                    l2.cache.push_mem_rsp(rsp);
                 }
             }
         }
-    }
-
-    /// Advances every shared level and the DRAM by one cycle, moving
-    /// traffic between levels — "tick every non-quiescent shard, then
-    /// merge" in one call.
-    pub fn tick(&mut self) {
-        for shard in &mut self.shards {
-            if !shard.quiet() {
-                shard.tick();
-            }
-        }
-        self.merge();
     }
 
     /// Flushes every shared cache level (part of the `fence` path).
     pub fn flush(&mut self) {
-        for shard in &mut self.shards {
-            shard.level.cache.flush();
+        for level in self.levels_mut() {
+            level.cache.flush();
         }
-        if let Some(l3) = &mut self.l3 {
-            l3.cache.flush();
-        }
+    }
+
+    /// The shared levels: every L2 in cluster order, then the L3.
+    fn levels(&self) -> impl Iterator<Item = &SharedLevel> {
+        self.l2s.iter().chain(&self.l3)
+    }
+
+    fn levels_mut(&mut self) -> impl Iterator<Item = &mut SharedLevel> {
+        self.l2s.iter_mut().chain(&mut self.l3)
     }
 
     /// `true` when nothing is in flight anywhere above the L1s.
     pub fn is_idle(&self) -> bool {
         self.dram.is_idle()
             && self.dram_tags.is_empty()
-            && self
-                .shards
-                .iter()
-                .all(|s| s.level.is_idle())
-            && self.l3.as_ref().is_none_or(SharedLevel::is_idle)
+            && self.levels().all(SharedLevel::is_idle)
             && self.core_rsp.iter().all(VecDeque::is_empty)
     }
 
@@ -707,9 +504,8 @@ impl MemHierarchy {
     /// `u64::MAX` (outstanding routing tags alone hold no event — they
     /// wait on DRAM in-flight entries, which are accounted here).
     pub fn next_event_cycle(&self, now: u64) -> u64 {
-        let levels_idle = self.shards.iter().all(|s| s.quiet())
-            && self.l3.as_ref().is_none_or(SharedLevel::ff_idle)
-            && self.core_rsp.iter().all(VecDeque::is_empty);
+        let levels_idle =
+            self.levels().all(SharedLevel::ff_idle) && self.core_rsp.iter().all(VecDeque::is_empty);
         if !levels_idle {
             return now;
         }
@@ -740,22 +536,13 @@ impl MemHierarchy {
 
     /// L2 statistics per cluster (empty when no L2 is configured).
     pub fn l2_stats(&self) -> Vec<crate::cache::CacheStats> {
-        self.shards
-            .iter()
-            .map(|s| s.level.cache.stats)
-            .collect()
+        self.l2s.iter().map(|l| l.cache.stats).collect()
     }
 
     /// Times any routing tag table grew past its reservation — the
     /// allocation audit's headline number; zero on fault-free runs.
     pub fn tag_grows(&self) -> u64 {
-        self.dram_tags.grows
-            + self
-                .shards
-                .iter()
-                .map(|s| s.tag_grows())
-                .sum::<u64>()
-            + self.l3.as_ref().map_or(0, |l| l.tags.grows)
+        self.dram_tags.grows + self.levels().map(|l| l.tags.grows).sum::<u64>()
     }
 
     /// The configuration this hierarchy was built with.
@@ -771,8 +558,8 @@ impl MemHierarchy {
             return;
         }
         self.dram.set_fault(faults.plan(site::DRAM));
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            shard.level.cache.set_fault(faults.plan(site::l2(i)));
+        for (i, l2) in self.l2s.iter_mut().enumerate() {
+            l2.cache.set_fault(faults.plan(site::l2(i)));
         }
         if let Some(l3) = &mut self.l3 {
             l3.cache.set_fault(faults.plan(site::L3));
@@ -783,11 +570,8 @@ impl MemHierarchy {
     /// after rollback re-runs the remaining window fault-free).
     pub fn clear_faults(&mut self) {
         self.dram.clear_fault();
-        for shard in &mut self.shards {
-            shard.level.cache.clear_fault();
-        }
-        if let Some(l3) = &mut self.l3 {
-            l3.cache.clear_fault();
+        for level in self.levels_mut() {
+            level.cache.clear_fault();
         }
     }
 
@@ -796,24 +580,15 @@ impl MemHierarchy {
     /// audit: equal totals at equal simulation points mean the shared
     /// hierarchy consumed its decision streams identically.
     pub fn fault_draws(&self) -> u64 {
-        self.dram.fault_draws()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.level.cache.fault_draws())
-                .sum::<u64>()
-            + self.l3.as_ref().map_or(0, |l| l.cache.fault_draws())
+        self.dram.fault_draws() + self.levels().map(|l| l.cache.fault_draws()).sum::<u64>()
     }
 
-    /// Appends everything in flight above the L1s: every shard's shared
-    /// level, the L3, the DRAM, the routing tag tables and the per-core
-    /// response queues.
+    /// Appends everything in flight above the L1s: every shared level
+    /// (L2s in cluster order, then the L3), the DRAM, the routing tag
+    /// tables and the per-core response queues.
     pub fn save_state(&self, w: &mut Writer) {
-        for shard in &self.shards {
-            shard.level.save_state(w);
-        }
-        if let Some(l3) = &self.l3 {
-            l3.save_state(w);
+        for level in self.levels() {
+            level.save_state(w);
         }
         self.dram.save_state(w);
         self.dram_tags.save_state(w);
@@ -826,11 +601,8 @@ impl MemHierarchy {
     /// count, presence of L2/L3) comes from this hierarchy's own
     /// configuration, never from the payload.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> SnapResult<()> {
-        for shard in &mut self.shards {
-            shard.level.restore_state(r)?;
-        }
-        if let Some(l3) = &mut self.l3 {
-            l3.restore_state(r)?;
+        for level in self.levels_mut() {
+            level.restore_state(r)?;
         }
         self.dram.restore_state(r)?;
         self.dram_tags.restore_state(r)?;
@@ -849,17 +621,14 @@ impl MemHierarchy {
             dram_responses,
             dram_dropped: self.dram.dropped_rsps,
             outstanding_tags: self.dram_tags.len(),
-            l2: self
-                .shards
-                .iter()
-                .map(|s| s.level.cache.occupancy())
-                .collect(),
+            l2: self.l2s.iter().map(|l| l.cache.occupancy()).collect(),
             l3: self.l3.as_ref().map(|l| l.cache.occupancy()),
             core_rsp_pending: self.core_rsp.iter().map(VecDeque::len).sum::<usize>()
                 + self
-                    .shards
+                    .l2s
                     .iter()
-                    .map(|s| s.level.rsp_out.iter().map(VecDeque::len).sum::<usize>())
+                    .flat_map(|l| &l.rsp_out)
+                    .map(VecDeque::len)
                     .sum::<usize>(),
         }
     }
@@ -1063,6 +832,82 @@ mod tests {
         assert!(h.is_idle());
     }
 
+    /// A DRAM whose handshake stalls at random must neither lose nor
+    /// duplicate a read on any of its three upstream links (core ports,
+    /// L2s, L3), and every routing tag taken for a refused push must come
+    /// back to its table.
+    #[test]
+    fn stalled_dram_handshake_reclaims_tags() {
+        let stall = FaultConfig {
+            seed: 5,
+            elastic_stall: 500,
+            ..FaultConfig::off()
+        };
+        for levels in 0..3 {
+            let mut cfg = HierarchyConfig::flat(
+                4,
+                DramConfig {
+                    latency: 20,
+                    channels: 2,
+                    queue_size: 4,
+                },
+            );
+            if levels > 0 {
+                cfg.cores_per_cluster = 2;
+                cfg.l2 = Some(l2_default());
+            }
+            if levels > 1 {
+                cfg.l3 = Some(l3_default());
+            }
+            let mut h = MemHierarchy::new(cfg);
+            h.dram.set_fault(stall.plan(site::DRAM));
+            // Per core: 48 requests to distinct lines, every fourth a write.
+            let reqs: Vec<Vec<MemReq>> = (0..4u32)
+                .map(|core| {
+                    (0..48u32)
+                        .map(|i| {
+                            let addr = (i * 4 + core) * 0x40;
+                            if i % 4 == 3 {
+                                MemReq::write(Tag::from(i), addr)
+                            } else {
+                                MemReq::read(Tag::from(i), addr)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut sent = [0usize; 4];
+            let mut got = vec![Vec::new(); 4];
+            for _ in 0..20_000 {
+                for (core, queue) in reqs.iter().enumerate() {
+                    while let Some(&req) = queue.get(sent[core]) {
+                        if h.push_req(core, req).is_err() {
+                            break;
+                        }
+                        sent[core] += 1;
+                    }
+                }
+                h.tick();
+                for (core, out) in got.iter_mut().enumerate() {
+                    while let Some(rsp) = h.pop_rsp(core) {
+                        out.push(rsp.tag);
+                    }
+                }
+                if sent.iter().all(|&n| n == 48) && h.is_idle() {
+                    break;
+                }
+            }
+            for (core, out) in got.iter_mut().enumerate() {
+                out.sort_unstable();
+                let reads: Vec<Tag> = reqs[core].iter().filter(|r| !r.write).map(|r| r.tag).collect();
+                assert_eq!(*out, reads, "levels {levels} core {core}: each read once");
+            }
+            assert!(h.is_idle(), "levels {levels}: hierarchy must drain");
+            assert_eq!(h.tag_grows(), 0, "levels {levels}: tag tables must not grow");
+            assert!(h.dram.fault_draws() > 0, "levels {levels}: the stall plan was consulted");
+        }
+    }
+
     /// The allocation audit: a saturating burst through every level must
     /// stay within the construction-time reservations.
     #[test]
@@ -1097,11 +942,10 @@ mod tests {
             }
         }
         assert_eq!(h.tag_grows(), 0, "tag tables must not grow fault-free");
-        for si in 0..h.num_shards() {
-            let shard = h.shard_mut(si);
+        for (ci, l2) in h.l2s.iter().enumerate() {
             assert!(
-                shard.rsp_high_water() <= shard.rsp_reserved(),
-                "shard {si} response queues exceeded their reservation"
+                l2.rsp_high_water <= l2.rsp_reserved,
+                "L2 {ci} response queues exceeded their reservation"
             );
         }
     }

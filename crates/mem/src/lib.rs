@@ -43,7 +43,7 @@ pub mod smem;
 
 pub use cache::{Cache, CacheConfig, CacheOccupancy, CacheStats};
 pub use dram::{Dram, DramConfig};
-pub use hierarchy::{ClusterShard, HierarchyConfig, HierarchyOccupancy, MemHierarchy};
+pub use hierarchy::{HierarchyConfig, HierarchyOccupancy, MemHierarchy};
 pub use ram::Ram;
 pub use req::{MemReq, MemRsp, Tag};
 pub use shadow::{RamView, WriteLog};

@@ -29,13 +29,7 @@ fn run_trace(config: CacheConfig, dram_cfg: DramConfig, trace: Vec<MemReq>) -> V
             pending.insert(i, r);
         }
         cache.tick();
-        while let Some(req) = cache.peek_mem_req().copied() {
-            if dram.push_req(req).is_ok() {
-                cache.pop_mem_req();
-            } else {
-                break;
-            }
-        }
+        cache.forward_mem_reqs(|req| dram.push_req(req));
         dram.tick();
         while let Some(rsp) = dram.pop_rsp() {
             cache.push_mem_rsp(rsp);
@@ -147,9 +141,7 @@ proptest! {
                     pending.insert(i, r);
                 }
                 cache.tick();
-                while let Some(req) = cache.peek_mem_req().copied() {
-                    if dram.push_req(req).is_ok() { cache.pop_mem_req(); } else { break; }
-                }
+                cache.forward_mem_reqs(|req| dram.push_req(req));
                 dram.tick();
                 while let Some(rsp) = dram.pop_rsp() { cache.push_mem_rsp(rsp); }
                 while cache.pop_rsp().is_some() { done += 1; }

@@ -125,7 +125,8 @@ pub fn render_stats(label: &str, stats: &GpuStats, series: Option<&TimeSeries>) 
     render_stats_with_recovery(label, stats, series, None)
 }
 
-/// [`render_stats`] plus the checkpoint-rollback [`RecoveryReport`], when
+/// [`render_stats`] plus the checkpoint-rollback
+/// [`RecoveryReport`](crate::recovery::RecoveryReport), when
 /// the recovery policy ran. With `recovery` `None` (or an empty report)
 /// the output is byte-identical to [`render_stats`] — the `"recovery"`
 /// key appears only on runs that actually rolled back, so existing

@@ -406,13 +406,13 @@ pub mod arbitrary {
 }
 
 pub mod collection {
-    //! Collection strategies ([`vec`]).
+    //! Collection strategies ([`vec()`]).
 
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// An inclusive-exclusive size specification for [`vec`].
+    /// An inclusive-exclusive size specification for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
@@ -432,7 +432,7 @@ pub mod collection {
         }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
